@@ -42,18 +42,10 @@ The subsystem spans the three IR layers of the reproduction:
   straight-line traces), and over-budget diagnostics with
   recompute-or-spill fix-its.
 
-``python -m repro.analysis --self-check`` runs every verifier over every
-registered primitive's synthesized JVP/VJP and over the HLO modules the
-LeNet-5 trace benchmark produces; ``--ownership <fn>`` prints one
-function's SIL with per-instruction ownership annotations;
-``--trace <program|all>`` proves cache behavior for a step program from
-the seeded trace corpus and cross-checks it against the runtime;
-``--derivatives <model|all>`` runs the derivative verifier over the
-seeded derivative corpus (or any ``module:function``);
-``--concurrency <runtime|corpus|model|all>`` runs the concurrency-safety
-analysis over the real parallel engine and/or the seeded hazard corpus;
-``--memory <program|all>`` certifies peak memory for a step program from
-the seeded memory corpus and cross-checks it against the runtime tracker.
+``python -m repro.analysis --list`` prints every subsystem flag and its
+bundled programs; ``--self-check`` runs everything (see
+:mod:`repro.analysis.__main__` for the CLI and :mod:`repro.analysis.corpus`
+for the corpus/report/sweep protocol the subsystems share).
 
 This ``__init__`` resolves its re-exports lazily: the pass pipelines import
 :mod:`repro.analysis.attribution` at module load, and an eager init here
@@ -132,7 +124,7 @@ _LAZY = {
     "certify": ("repro.analysis.memory", "certify"),
     "certify_module": ("repro.analysis.memory", "certify_module"),
     "attribute_passes": ("repro.analysis.memory", "attribute_passes"),
-    "analyze_memory_model": ("repro.analysis.memory", "analyze_memory_model"),
+    "analyze_memory_program": ("repro.analysis.memory", "analyze_memory_program"),
     "buffer_annotations": ("repro.analysis.memory", "buffer_annotations"),
     "MemoryPlan": ("repro.analysis.memory", "MemoryPlan"),
     "MemoryPlanReport": ("repro.analysis.memory", "MemoryPlanReport"),

@@ -2,90 +2,31 @@
 
 Usage::
 
-    python -m repro.analysis --self-check        # verify everything
-    python -m repro.analysis --self-check -q     # summary only on failure
-    python -m repro.analysis --ownership sgd_update
+    python -m repro.analysis --self-check [-q] [--json]   # verify everything
+    python -m repro.analysis --list [--json]              # the table below
+    python -m repro.analysis --trace lr_schedule_storm    # one corpus program
+    python -m repro.analysis --memory all [-q] [--json]   # a whole corpus
     python -m repro.analysis --ownership mypkg.mymod:myfn --style functional
-    python -m repro.analysis --trace lr_schedule_storm
-    python -m repro.analysis --trace all
-    python -m repro.analysis --derivatives bad_square
-    python -m repro.analysis --derivatives all
     python -m repro.analysis --lint mypkg.mymod:myfn
-    python -m repro.analysis --concurrency runtime
-    python -m repro.analysis --concurrency race_unlocked_counter
-    python -m repro.analysis --concurrency all
-    python -m repro.analysis --memory mlp_chain_reuse
-    python -m repro.analysis --memory all
-    python -m repro.analysis --precision softmax_unstabilized
-    python -m repro.analysis --precision all --json
-    python -m repro.analysis --codegen mlp_chain
-    python -m repro.analysis --codegen all
-    python -m repro.analysis --list                # the dispatch table
 
-``--ownership`` resolves its argument against the bundled model corpus
-(:mod:`repro.analysis.ownership.models`) first, then as a dotted
-``module:function`` (or ``module.function``) path; the function is lowered
-to SIL and printed with per-instruction ownership annotations.
+Every subsystem is one :class:`~repro.analysis.corpus.Sweep` row of
+``SUBSYSTEMS``: a flag, the self-check sweep it backs, and a corpus whose
+names (``--list`` prints them) the flag's argument resolves against.
+``NAME`` analyzes one bundled program and prints its report; ``all``
+walks the corpus and exits 0 only when every program gets its expected
+verdict *and* every static-vs-dynamic cross-check agrees — a seeded
+hazard that is caught is a success.  ``-q`` prints a report only when it
+fails; ``--json`` emits machine-readable output (``--lint`` excepted).
+``--self-check`` holds the same rows to the same judgment
+(:meth:`~repro.analysis.corpus.Report.problems`).
 
-``--trace`` runs the static trace-stability analysis over one program
-from the seeded corpus (:mod:`repro.analysis.tracing.models`) — or every
-program with ``all`` — printing canonical cache keys, retrace-storm /
-growth diagnostics, and the static-vs-dynamic cross-check.  The exit
-status is 0 only when every analyzed program matches its expected
-verdict and every static cache prediction matches the runtime.
-
-``--derivatives`` runs the static derivative-correctness verifier
-(:mod:`repro.analysis.derivatives`) over one model from the seeded
-corpus — or every model with ``all``, or any ``module:function`` —
-printing pullback linearity verdicts, JVP/VJP transpose consistency,
-record typing, capture liveness, and the numeric cross-checks.
-
-``--lint`` lowers a function and prints the batched differentiability
-lint (including the custom-derivative contract checks) without running
-the full verifier.
-
-``--concurrency`` runs the static concurrency-safety analysis
-(:mod:`repro.analysis.concurrency`): shared-state inventory against the
-``guarded_by`` registry, lockset race detection, the lock-order deadlock
-graph with its dynamic witness cross-check, and replica-merge
-determinism verification.  ``runtime`` analyzes the real parallel
-engine, a corpus model name analyzes that seeded hazard, ``corpus``
-analyzes every model, and ``all`` runs runtime + corpus; exit status 0
-iff the runtime is clean, every seeded hazard is caught, and every
-static-vs-dynamic cross-check agrees.
-
-``--memory`` runs the static memory planner
-(:mod:`repro.analysis.memory`) over one program from the seeded corpus —
-or every program with ``all`` — printing liveness-based buffer plans,
-peak-memory certificates with per-pass attribution, budget/remat
-fix-its, and the certified-vs-observed cross-check (the bound must hold
-on every trace and be exact on straight-line traces).
-
-``--precision`` runs the static precision-safety analysis
-(:mod:`repro.analysis.precision`) over one program from the seeded
-corpus — or every program with ``all`` — printing the autocast plan,
-dtype-flow verdicts under the naive narrow-everything lowering, the
-certified ⊇ observed interval cross-check against the dynamic oracle,
-output-accuracy metrics for the naive and planned lowerings, and the
-memory planner's certified peak before and after narrowing.
-
-``--codegen`` runs the translation validator
-(:mod:`repro.analysis.equivalence`) over one program from the seeded
-corpus — or every program with ``all`` — emitting each unique trace's
-flat-NumPy step function, statically certifying it equivalent to its HLO
-schedule, cross-checking the certificate dynamically (interpreted ≡
-generated, bit for bit), and requiring every seeded miscompile to be
-rejected with a located diagnostic.
-
-``--list`` prints the dispatch table itself: every subsystem flag, the
-self-check sweep it backs, and the bundled program/model names its
-argument resolves against.  ``--json`` switches any subcommand's output
-to machine-readable JSON (``--lint`` excepted).
-
-Each subsystem is one row of the ``SUBSYSTEMS`` dispatch table below:
-a flag, its argument metavar/help, the self-check sweep number, the
-bundled-program enumerator, and the runner the parsed argument is
-handed to.
+Rows with ``analyze`` share :func:`run_sweep`.  Three keep their own
+runner: ``--ownership`` (prints annotated SIL for one function, exit 0
+iff it draws no exclusivity error; also takes ``module:function``),
+``--concurrency`` (``runtime`` analyzes the real parallel engine,
+``corpus`` every seeded model, ``all`` both; ``--no-witness`` skips the
+live lock-witness runs) and ``--lint`` (``module:function`` only).
+DESIGN.md §8 has the recipe for adding a row.
 """
 
 from __future__ import annotations
@@ -94,180 +35,328 @@ import argparse
 import importlib
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable
+
+from repro.analysis.corpus import Corpus, Sweep, UnknownProgram, diag_json
 
 
-@dataclass(frozen=True)
-class Subsystem:
-    """One analysis subsystem's CLI surface: flag + sweep + runner."""
+def run_sweep(row: Sweep, spec: str, quiet: bool, as_json: bool) -> int:
+    """Analyze the program(s) ``spec`` selects from ``row.corpus`` and
+    hold each report to its expectation; exit status 0 iff all hold."""
+    try:
+        programs, analyze = row.corpus.lookup(spec), row.analyze
+    except UnknownProgram:
+        if row.analyze_function is None:
+            raise
+        programs = [_import_function(spec, row.corpus)]
+        analyze = row.analyze_function
 
-    flag: str
-    metavar: str
-    help: str
-    run: Callable[[argparse.Namespace], int]
-    #: Which self-check sweep this subsystem backs (see
-    #: :mod:`repro.analysis.selfcheck`'s module docstring).
-    sweep: int = 0
-    #: Enumerates the bundled program/model names the argument resolves
-    #: against (``None`` when the flag takes arbitrary ``module:function``
-    #: specs only).  Deferred behind a callable so ``--list`` is the only
-    #: code path paying for the corpus imports.
-    programs: Callable[[], list[str]] | None = None
-
-    @property
-    def dest(self) -> str:
-        return self.flag.lstrip("-").replace("-", "_")
-
-
-def _ownership_names() -> list[str]:
-    return sorted(_ownership_corpus())
-
-
-def _trace_names() -> list[str]:
-    from repro.analysis.tracing.models import PROGRAMS
-
-    return sorted(PROGRAMS)
-
-
-def _derivative_names() -> list[str]:
-    from repro.analysis.derivatives.models import MODELS
-
-    return sorted(MODELS)
-
-
-def _concurrency_names() -> list[str]:
-    from repro.analysis.concurrency.models import CORPUS_MODELS
-
-    return ["runtime", "corpus"] + sorted(m.name for m in CORPUS_MODELS)
+    detail = row.detail if len(programs) == 1 else None
+    failures = 0
+    payload = []
+    for program in programs:
+        report = analyze(program)
+        ok = not report.problems()
+        failures += not ok
+        if as_json:
+            payload.append(report.to_json())
+        elif not quiet or not ok:
+            print(report.render())
+            extra = detail(report) if detail is not None else None
+            if extra is not None:
+                print()
+                print(extra)
+            if report.expect is not None:
+                outcome = "as predicted" if report.verdict_matches else "MISPREDICTED"
+                print(f"{row.expect_label}{report.expect} ({outcome})")
+            print()
+    if as_json:
+        print(json.dumps(payload, indent=2))
+    else:
+        print(
+            f"{len(programs)} {row.counted}, {failures} failure(s); "
+            + (row.holds if failures == 0 else row.fails)
+        )
+    return 0 if failures == 0 else 1
 
 
-def _memory_names() -> list[str]:
-    from repro.analysis.memory import CORPUS
-
-    return sorted(p.name for p in CORPUS)
-
-
-def _precision_names() -> list[str]:
-    from repro.analysis.precision import CORPUS
-
-    return sorted(p.name for p in CORPUS)
-
-
-def _codegen_names() -> list[str]:
-    from repro.analysis.equivalence import CORPUS
-
-    return sorted(p.name for p in CORPUS)
+def _import_function(spec: str, corpus: Corpus):
+    """Resolve ``module:function`` (or ``module.function``); a bare name
+    is an unknown name of ``corpus``."""
+    if ":" in spec:
+        module_name, _, attr = spec.partition(":")
+    else:
+        module_name, _, attr = spec.rpartition(".")
+    if not module_name:
+        raise UnknownProgram(corpus.unknown(spec) + ", or module:function")
+    return getattr(importlib.import_module(module_name), attr)
 
 
-SUBSYSTEMS: tuple[Subsystem, ...] = (
-    Subsystem(
+def _lowered(spec: str):
+    """SIL of a bundled ownership model or an imported function."""
+    from repro.analysis.ownership.models import CORPUS
+    from repro.sil.frontend import lower_function
+
+    model = CORPUS.by_name.get(spec)
+    pyfunc = model.fn if model else _import_function(spec, CORPUS)
+    return getattr(pyfunc, "__sil_function__", None) or lower_function(pyfunc)
+
+
+def _ownership_json(report) -> dict:
+    return {
+        "function": report.func.name,
+        "ok": report.ok,
+        "mutation_sites": report.copies.mutation_sites,
+        "must_copy": report.copies.must_copy,
+        "may_copy": report.copies.may_copy,
+        "in_place": report.copies.in_place,
+        "diagnostics": [diag_json(d) for d in report.diagnostics],
+    }
+
+
+def _run_ownership(args: argparse.Namespace) -> int:
+    from repro.analysis.ownership.annotate import (
+        analyze_ownership,
+        analyze_ownership_model,
+        tally,
+    )
+    from repro.analysis.ownership.models import CORPUS
+
+    if args.ownership != "all":
+        report = analyze_ownership(_lowered(args.ownership), style=args.style)
+        if args.json:
+            print(json.dumps(_ownership_json(report), indent=2))
+        else:
+            print(report.render())
+        return 0 if report.ok else 1
+
+    # The corpus sweep: every function judged against its expected verdict
+    # by the tally self-check sweep 4 uses (a caught violation passes).
+    from repro.analysis.selfcheck import SelfCheckReport
+
+    counters = SelfCheckReport()
+    models = CORPUS.lookup("all")
+    failures = 0
+    payload = []
+    for model in models:
+        report = analyze_ownership_model(model, args.style)
+        problems = tally(model, report, counters)
+        failures += bool(problems)
+        if args.json:
+            payload.append(
+                {
+                    **_ownership_json(report),
+                    "expect": model.expect,
+                    "ok": not problems,
+                    "problems": problems,
+                }
+            )
+        elif not args.quiet or problems:
+            print(report.render())
+            outcome = "; ".join(problems) or "as predicted"
+            print(f"expected verdict: {model.expect} ({outcome})")
+            print()
+    if args.json:
+        print(json.dumps(payload, indent=2))
+    else:
+        print(
+            f"{len(models)} function(s) checked, {failures} failure(s); "
+            "exclusivity verdicts "
+            + ("all as expected" if failures == 0 else "NOT as expected")
+        )
+    return 0 if failures == 0 else 1
+
+
+def _run_lint(args: argparse.Namespace) -> int:
+    from repro.core.lint import lint_function
+
+    sil_func = _lowered(args.lint)
+    diagnostics = lint_function(
+        sil_func, tuple(range(len(sil_func.params))), probe_custom_rules=True
+    )
+    for diag in diagnostics:
+        print(diag)
+    errors = sum(1 for d in diagnostics if d.is_error)
+    print(
+        f"@{sil_func.name}: {len(diagnostics)} diagnostic(s), {errors} error(s)"
+    )
+    return 0 if errors == 0 else 1
+
+
+def _run_concurrency(args: argparse.Namespace) -> int:
+    from repro.analysis.concurrency.report import (
+        CORPUS,
+        analyze_corpus,
+        analyze_corpus_model,
+        analyze_runtime,
+    )
+
+    spec, quiet, as_json = args.concurrency, args.quiet, args.json
+    witness = not args.no_witness
+    selected = CORPUS.lookup(spec)
+    failures = 0
+    payload: dict = {}
+
+    def show(text: str, ok: bool) -> None:
+        if as_json:
+            return
+        if not quiet or not ok:
+            print(text)
+            print()
+
+    def model_json(result) -> dict:
+        return {
+            "model": result.model.name,
+            "expect": result.model.expect,
+            "verdicts": sorted(result.verdicts),
+            "matches": result.matches,
+            "cross_check_ok": result.cross_check_ok,
+            "diagnostics": [diag_json(d) for d in result.diagnostics],
+        }
+
+    if spec in ("runtime", "all"):
+        report = analyze_runtime(run_witness=witness)
+        if not report.ok:
+            failures += 1
+        show(report.render(), report.ok)
+        if as_json:
+            payload["runtime"] = {
+                "ok": report.ok,
+                "verdicts": sorted(report.verdicts()),
+                "cross_check_ok": report.cross_check_ok,
+                "unregistered_fields": [
+                    f.qualname for f in report.inventory.unregistered
+                ],
+                "diagnostics": [diag_json(d) for d in report.diagnostics()],
+            }
+
+    if spec in ("corpus", "all"):
+        corpus = analyze_corpus(run_witness=witness)
+        failures += sum(not r.matches for r in corpus.results)
+        show(corpus.render(), corpus.ok)
+        if as_json:
+            payload["corpus"] = [model_json(r) for r in corpus.results]
+    elif spec != "runtime":
+        result = analyze_corpus_model(selected[0])
+        if not result.matches:
+            failures += 1
+        if as_json:
+            payload["corpus"] = [model_json(result)]
+        elif not quiet or not result.matches:
+            print(result.render())
+            for diag in result.diagnostics:
+                print(f"    {diag.severity}: {diag.message} "
+                      f"[{diag.location.filename}:{diag.location.line}]")
+
+    if as_json:
+        payload["failures"] = failures
+        payload["ok"] = failures == 0
+        print(json.dumps(payload, indent=2))
+    else:
+        print(
+            f"concurrency analysis: {failures} failure(s); "
+            + (
+                "locksets, lock order, and merges all verified"
+                if failures == 0
+                else "hazards or cross-check divergences found"
+            )
+        )
+    return 0 if failures == 0 else 1
+
+
+#: The dispatch table: ``main`` adds one flag per row, ``--list`` prints
+#: it, and ``--self-check`` walks the rows whose module has ``analyze``.
+SUBSYSTEMS: tuple[Sweep, ...] = (
+    Sweep(
         flag="--ownership",
         metavar="FN",
-        help=(
-            "lower FN (a bundled model name, or module:function) to SIL and "
-            "print it with per-instruction ownership annotations: borrow "
-            "verdicts, copy-materialization labels, and pullback costs"
-        ),
-        run=lambda args: _run_ownership(args.ownership, args.style, args.json),
+        help="annotated SIL of FN (also module:function): borrow verdicts, "
+        "copy-materialization labels, pullback costs",
         sweep=4,
-        programs=_ownership_names,
+        module="repro.analysis.ownership.models",
+        run=_run_ownership,
     ),
-    Subsystem(
+    Sweep(
         flag="--trace",
         metavar="PROGRAM",
-        help=(
-            "run the static trace-stability analysis over PROGRAM (a "
-            "seeded corpus name, or 'all'): canonical cache keys, "
-            "retrace-storm and growth diagnostics, and the exact "
-            "static-vs-dynamic cache cross-check"
-        ),
-        run=lambda args: _run_trace(args.trace, args.quiet, args.json),
+        help="trace stability: canonical cache keys, retrace-storm and growth "
+        "diagnostics, static-vs-dynamic cache cross-check",
         sweep=5,
-        programs=_trace_names,
+        module="repro.analysis.tracing.report",
+        checked="trace_programs_checked",
+        caught="trace_hazards_caught",
+        counted="program(s) analyzed",
+        holds="static cache predictions all match the runtime",
+        fails="static cache predictions DIVERGE from the runtime",
+        expect_label="expected verdict:        ",
     ),
-    Subsystem(
+    Sweep(
         flag="--derivatives",
         metavar="FN",
-        help=(
-            "run the static derivative verifier over FN (a seeded corpus "
-            "name, 'all', or module:function): pullback linearity, JVP/VJP "
-            "transpose consistency, record typing, capture liveness, and "
-            "the seeded numeric cross-checks"
-        ),
-        run=lambda args: _run_derivatives(args.derivatives, args.quiet, args.json),
+        help="derivative verifier (also module:function): pullback linearity, "
+        "JVP/VJP transposes, record typing, capture liveness, numeric probes",
         sweep=6,
-        programs=_derivative_names,
+        module="repro.analysis.derivatives.report",
+        checked="derivative_models_checked",
+        caught="derivative_hazards_caught",
+        counted="function(s) verified",
+        holds="static verdicts all agree with the numeric probes",
+        fails="static verdicts DISAGREE with the numeric probes",
+        expect_label="expected verdict: ",
     ),
-    Subsystem(
+    Sweep(
         flag="--lint",
         metavar="FN",
-        help=(
-            "lower FN (module:function) and print the batched "
-            "differentiability lint, including custom-derivative contract "
-            "checks, without synthesizing a plan"
-        ),
-        run=lambda args: _run_lint(args.lint),
+        help="batched differentiability lint of FN (module:function), "
+        "custom-derivative contract checks included",
         sweep=3,
+        run=_run_lint,
     ),
-    Subsystem(
+    Sweep(
         flag="--concurrency",
         metavar="TARGET",
-        help=(
-            "run the concurrency-safety analysis over TARGET ('runtime', "
-            "'corpus', a seeded corpus model name, or 'all'): shared-state "
-            "inventory, lockset race detection, lock-order deadlock graph "
-            "with dynamic witness cross-check, and merge-determinism "
-            "verification"
-        ),
-        run=lambda args: _run_concurrency(
-            args.concurrency, args.quiet, not args.no_witness, args.json
-        ),
+        help="concurrency safety: shared-state inventory, lockset races, "
+        "lock-order graph with dynamic witness, merge determinism",
         sweep=7,
-        programs=_concurrency_names,
+        module="repro.analysis.concurrency.report",
+        run=_run_concurrency,
     ),
-    Subsystem(
+    Sweep(
         flag="--memory",
         metavar="PROGRAM",
-        help=(
-            "run the static memory planner over PROGRAM (a seeded corpus "
-            "name, or 'all'): liveness-based buffer plans with in-place "
-            "donations, peak-memory certificates with per-pass "
-            "attribution, budget fix-its, and the certified-vs-observed "
-            "cross-check"
-        ),
-        run=lambda args: _run_memory(args.memory, args.quiet, args.json),
+        help="memory planner: liveness-based buffer plans, peak certificates "
+        "with per-pass attribution, budget fix-its, observed-peak cross-check",
         sweep=8,
-        programs=_memory_names,
+        module="repro.analysis.memory.report",
+        checked="memory_programs_checked",
+        caught="memory_hazards_caught",
+        counted="program(s) certified",
+        holds="static peak bounds hold against the dynamic tracker",
+        fails="static peak bounds DIVERGE from the dynamic tracker",
     ),
-    Subsystem(
+    Sweep(
         flag="--precision",
         metavar="PROGRAM",
-        help=(
-            "run the static precision-safety analysis over PROGRAM (a "
-            "seeded corpus name, or 'all'): interval ranges, dtype-flow "
-            "hazard verdicts under the naive narrow lowering, the "
-            "verified autocast plan, the certified-contains-observed "
-            "oracle cross-check, and the peak-memory delta of narrowing"
-        ),
-        run=lambda args: _run_precision(args.precision, args.quiet, args.json),
+        help="precision safety: interval ranges, dtype-flow hazards of naive "
+        "narrowing, the verified autocast plan, observed-value cross-check",
         sweep=9,
-        programs=_precision_names,
+        module="repro.analysis.precision.report",
+        checked="precision_programs_checked",
+        caught="precision_hazards_caught",
+        counted="program(s) audited",
+        holds="certified intervals contain every observed value",
+        fails="certified intervals VIOLATED by the dynamic oracle",
     ),
-    Subsystem(
+    Sweep(
         flag="--codegen",
         metavar="PROGRAM",
-        help=(
-            "run the translation validator over PROGRAM (a seeded corpus "
-            "name, or 'all'): emit the flat-NumPy step function for every "
-            "unique trace, certify it equivalent to its HLO schedule, "
-            "cross-check dynamically (interpreted == generated, bit for "
-            "bit), and require seeded miscompiles to be rejected with "
-            "located diagnostics"
-        ),
-        run=lambda args: _run_codegen(args.codegen, args.quiet, args.json),
+        help="translation validator: certify each emitted step function "
+        "against its HLO schedule, cross-check bit for bit, reject miscompiles",
         sweep=10,
-        programs=_codegen_names,
+        module="repro.analysis.equivalence.report",
+        caught="miscompiles_caught",
+        counted="program(s) validated",
+        holds="certified translations run bit-identically to the interpreter",
+        fails="certified translations DIVERGE from the interpreter",
     ),
 )
 
@@ -276,39 +365,28 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Cross-layer static verification: typed SIL checking, HLO "
-            "module verification, per-pass invariant attribution, and the "
-            "differentiability linter."
+            "Cross-layer static verification.  Each subsystem flag takes a "
+            "bundled name from --list, or 'all' to sweep its whole corpus."
         ),
     )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--self-check",
         action="store_true",
-        help=(
-            "run every verifier over every registered primitive's "
-            "synthesized JVP/VJP and over the HLO modules produced by the "
-            "LeNet-5 trace workload"
-        ),
+        help="run every verifier and every corpus sweep; exit 0 iff all hold",
     )
-    for subsystem in SUBSYSTEMS:
-        parser.add_argument(
-            subsystem.flag, metavar=subsystem.metavar, help=subsystem.help
-        )
-    parser.add_argument(
+    for row in SUBSYSTEMS:
+        mode.add_argument(row.flag, metavar=row.metavar, help=row.help)
+    mode.add_argument(
         "--list",
         action="store_true",
-        help=(
-            "print the subsystem dispatch table: every flag, the "
-            "self-check sweep it backs, and its bundled program names"
-        ),
+        help="print every subsystem flag, its self-check sweep and its "
+        "bundled names",
     )
     parser.add_argument(
         "--json",
         action="store_true",
-        help=(
-            "emit machine-readable JSON instead of rendered text "
-            "(supported by every subcommand except --lint)"
-        ),
+        help="emit machine-readable JSON (every subcommand except --lint)",
     )
     parser.add_argument(
         "--no-witness",
@@ -332,9 +410,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.list:
         return _run_list(args.json)
 
-    for subsystem in SUBSYSTEMS:
-        if getattr(args, subsystem.dest):
-            return subsystem.run(args)
+    for row in SUBSYSTEMS:
+        spec = getattr(args, row.dest)
+        if spec:
+            try:
+                if row.run is not None:
+                    return row.run(args)
+                return run_sweep(row, spec, args.quiet, args.json)
+            except UnknownProgram as exc:
+                raise SystemExit(f"error: {exc}") from None
 
     if not args.self_check:
         parser.print_help()
@@ -356,7 +440,7 @@ def _run_list(as_json: bool) -> int:
             "flag": s.flag,
             "metavar": s.metavar,
             "sweep": s.sweep,
-            "programs": s.programs() if s.programs is not None else [],
+            "programs": s.corpus.names if s.corpus is not None else [],
         }
         for s in SUBSYSTEMS
     ]
@@ -372,507 +456,6 @@ def _run_list(as_json: bool) -> int:
         else:
             print(f"{'':<{width}}  programs: (module:function specs)")
     return 0
-
-
-def _ownership_corpus() -> dict:
-    from repro.analysis.ownership import models
-
-    corpus = dict(models.OPTIMIZER_MODELS)
-    for fn in models.CLEAN_SUITE:
-        corpus.setdefault(fn.__name__, fn)
-    corpus.setdefault("copy_then_write", models.copy_then_write)
-    corpus.setdefault("array_subscript", models.array_subscript)
-    for fn, _verdict in models.VIOLATION_SUITE:
-        corpus.setdefault(fn.__name__, fn)
-    return corpus
-
-
-def _resolve_function(spec: str):
-    corpus = _ownership_corpus()
-    if spec in corpus:
-        return corpus[spec]
-
-    if ":" in spec:
-        module_name, _, attr = spec.partition(":")
-    else:
-        module_name, _, attr = spec.rpartition(".")
-    if not module_name:
-        raise SystemExit(
-            f"error: unknown function {spec!r}; bundled names: "
-            + ", ".join(sorted(corpus))
-        )
-    module = importlib.import_module(module_name)
-    return getattr(module, attr)
-
-
-def _diag_json(diag) -> dict:
-    loc = getattr(diag, "location", None)
-    return {
-        "severity": diag.severity,
-        "message": diag.message,
-        "file": loc.filename if loc is not None else None,
-        "line": loc.line if loc is not None else None,
-    }
-
-
-def _run_trace(spec: str, quiet: bool, as_json: bool = False) -> int:
-    from repro.analysis.tracing.models import PROGRAMS
-    from repro.analysis.tracing.report import analyze_trace_program
-
-    if spec == "all":
-        programs = list(PROGRAMS.values())
-    elif spec in PROGRAMS:
-        programs = [PROGRAMS[spec]]
-    else:
-        raise SystemExit(
-            f"error: unknown trace program {spec!r}; bundled names: "
-            + ", ".join(sorted(PROGRAMS))
-            + ", all"
-        )
-
-    failures = 0
-    json_reports = []
-    for program in programs:
-        report = analyze_trace_program(program)
-        verdict_ok = report.verdicts() == {program.expect}
-        ok = verdict_ok and report.cross_check_ok
-        if not ok:
-            failures += 1
-        if as_json:
-            json_reports.append(
-                {
-                    "program": program.name,
-                    "expect": program.expect,
-                    "verdicts": sorted(report.verdicts()),
-                    "verdict_matches": verdict_ok,
-                    "cross_check_ok": report.cross_check_ok,
-                    "ok": ok,
-                    "predicted_compiles": report.predicted_compiles,
-                    "dynamic_compiles": report.dynamic_compiles,
-                    "predicted_cache_hits": report.predicted_cache_hits,
-                    "dynamic_cache_hits": report.dynamic_cache_hits,
-                    "diagnostics": [_diag_json(d) for d in report.diagnostics],
-                }
-            )
-        elif not quiet or not ok:
-            print(report.render())
-            print(
-                f"expected verdict:        {program.expect} "
-                f"({'as predicted' if verdict_ok else 'MISPREDICTED'})"
-            )
-            print()
-    if as_json:
-        print(json.dumps(json_reports, indent=2))
-    else:
-        print(
-            f"{len(programs)} program(s) analyzed, {failures} failure(s); "
-            "static cache predictions "
-            + ("all match the runtime" if failures == 0 else "DIVERGE from the runtime")
-        )
-    return 0 if failures == 0 else 1
-
-
-def _run_derivatives(spec: str, quiet: bool, as_json: bool = False) -> int:
-    from repro.analysis.derivatives.models import MODELS
-    from repro.analysis.derivatives.report import (
-        analyze_derivative_model,
-        verify_derivatives,
-    )
-
-    if spec == "all":
-        reports = [
-            (model.expect, analyze_derivative_model(model))
-            for model in MODELS.values()
-        ]
-    elif spec in MODELS:
-        model = MODELS[spec]
-        reports = [(model.expect, analyze_derivative_model(model))]
-    else:
-        try:
-            pyfunc = _resolve_function(spec)
-        except SystemExit:
-            raise SystemExit(
-                f"error: unknown derivative model {spec!r}; bundled names: "
-                + ", ".join(sorted(MODELS))
-                + ", all, or module:function"
-            ) from None
-        reports = [(None, verify_derivatives(pyfunc))]
-
-    failures = 0
-    json_reports = []
-    for expected, report in reports:
-        verdict_ok = expected is None or expected in report.verdicts()
-        ok = verdict_ok and report.cross_check_ok
-        if not ok:
-            failures += 1
-        if as_json:
-            json_reports.append(
-                {
-                    "function": report.func_name,
-                    "expect": expected,
-                    "verdicts": sorted(report.verdicts()),
-                    "verdict_matches": verdict_ok,
-                    "cross_check_ok": report.cross_check_ok,
-                    "ok": ok,
-                    "diagnostics": [_diag_json(d) for d in report.diagnostics()],
-                }
-            )
-        elif not quiet or not ok:
-            print(report.render())
-            if len(reports) == 1:
-                annotated = report.annotated_sil()
-                if annotated is not None:
-                    print()
-                    print(annotated)
-            if expected is not None:
-                print(
-                    f"expected verdict: {expected} "
-                    f"({'as predicted' if verdict_ok else 'MISPREDICTED'})"
-                )
-            print()
-    if as_json:
-        print(json.dumps(json_reports, indent=2))
-    else:
-        print(
-            f"{len(reports)} function(s) verified, {failures} failure(s); "
-            "static verdicts "
-            + (
-                "all agree with the numeric probes"
-                if failures == 0
-                else "DISAGREE with the numeric probes"
-            )
-        )
-    return 0 if failures == 0 else 1
-
-
-def _run_concurrency(
-    spec: str, quiet: bool, witness: bool, as_json: bool = False
-) -> int:
-    from repro.analysis.concurrency.models import CORPUS_MODELS
-    from repro.analysis.concurrency.report import (
-        analyze_corpus,
-        analyze_corpus_model,
-        analyze_runtime,
-    )
-
-    model_names = {m.name: m for m in CORPUS_MODELS}
-    failures = 0
-    payload: dict = {}
-
-    def show(text: str, ok: bool) -> None:
-        if as_json:
-            return
-        if not quiet or not ok:
-            print(text)
-            print()
-
-    def model_json(result) -> dict:
-        return {
-            "model": result.model.name,
-            "expect": result.model.expect,
-            "verdicts": sorted(result.verdicts),
-            "matches": result.matches,
-            "cross_check_ok": result.cross_check_ok,
-            "diagnostics": [_diag_json(d) for d in result.diagnostics],
-        }
-
-    if spec in ("runtime", "all"):
-        report = analyze_runtime(run_witness=witness)
-        if not report.ok:
-            failures += 1
-        show(report.render(), report.ok)
-        if as_json:
-            payload["runtime"] = {
-                "ok": report.ok,
-                "verdicts": sorted(report.verdicts()),
-                "cross_check_ok": report.cross_check_ok,
-                "unregistered_fields": [
-                    f.qualname for f in report.inventory.unregistered
-                ],
-                "diagnostics": [_diag_json(d) for d in report.diagnostics()],
-            }
-
-    if spec in ("corpus", "all"):
-        corpus = analyze_corpus(run_witness=witness)
-        failures += sum(not r.matches for r in corpus.results)
-        show(corpus.render(), corpus.ok)
-        if as_json:
-            payload["corpus"] = [model_json(r) for r in corpus.results]
-    elif spec in model_names:
-        result = analyze_corpus_model(model_names[spec])
-        if not result.matches:
-            failures += 1
-        if as_json:
-            payload["corpus"] = [model_json(result)]
-        else:
-            print(result.render())
-            for diag in result.diagnostics:
-                print(f"    {diag.severity}: {diag.message} "
-                      f"[{diag.location.filename}:{diag.location.line}]")
-    elif spec not in ("runtime", "corpus", "all"):
-        raise SystemExit(
-            f"error: unknown concurrency target {spec!r}; use 'runtime', "
-            "'corpus', 'all', or a corpus model: "
-            + ", ".join(sorted(model_names))
-        )
-
-    if as_json:
-        payload["failures"] = failures
-        payload["ok"] = failures == 0
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"concurrency analysis: {failures} failure(s); "
-            + (
-                "locksets, lock order, and merges all verified"
-                if failures == 0
-                else "hazards or cross-check divergences found"
-            )
-        )
-    return 0 if failures == 0 else 1
-
-
-def _run_memory(spec: str, quiet: bool, as_json: bool = False) -> int:
-    from repro.analysis.memory import CORPUS, analyze_memory_program
-
-    names = {p.name: p for p in CORPUS}
-    if spec == "all":
-        programs = list(CORPUS)
-    elif spec in names:
-        programs = [names[spec]]
-    else:
-        raise SystemExit(
-            f"error: unknown memory program {spec!r}; bundled names: "
-            + ", ".join(sorted(names))
-            + ", all"
-        )
-
-    failures = 0
-    json_reports = []
-    for program in programs:
-        report = analyze_memory_program(program)
-        verdict_ok = report.verdicts() == {program.expect}
-        ok = verdict_ok and report.cross_check_ok
-        if not ok:
-            failures += 1
-        if as_json:
-            json_reports.append(
-                {
-                    "program": program.name,
-                    "expect": program.expect,
-                    "verdicts": sorted(report.verdicts()),
-                    "verdict_matches": verdict_ok,
-                    "cross_check_ok": report.cross_check_ok,
-                    "ok": ok,
-                    "reuse_factor": report.reuse_factor,
-                    "checks": [
-                        {
-                            "trace_key": c.trace_key,
-                            "certified_peak_bytes": (
-                                c.certificate.certified_peak_bytes
-                            ),
-                            "observed_peak_bytes": c.observed_peak_bytes,
-                            "sound": c.sound,
-                            "exact": c.exact,
-                            "planned_pool_bytes": (
-                                c.certificate.planned_pool_bytes
-                            ),
-                            "naive_bytes": c.certificate.naive_bytes,
-                            "buffers_reused": c.plan.buffers_reused,
-                            "diagnostics": [
-                                _diag_json(d) for d in c.diagnostics
-                            ],
-                        }
-                        for c in report.checks
-                    ],
-                }
-            )
-        elif not quiet or not ok:
-            print(report.render())
-            print(
-                f"  expected verdict: {program.expect} "
-                f"({'as predicted' if verdict_ok else 'MISPREDICTED'})"
-            )
-            print()
-    if as_json:
-        print(json.dumps(json_reports, indent=2))
-    else:
-        print(
-            f"{len(programs)} program(s) certified, {failures} failure(s); "
-            "static peak bounds "
-            + (
-                "hold against the dynamic tracker"
-                if failures == 0
-                else "DIVERGE from the dynamic tracker"
-            )
-        )
-    return 0 if failures == 0 else 1
-
-
-def _run_precision(spec: str, quiet: bool, as_json: bool) -> int:
-    from repro.analysis.precision import CORPUS, analyze_precision_program
-
-    names = {p.name: p for p in CORPUS}
-    if spec == "all":
-        programs = list(CORPUS)
-    elif spec in names:
-        programs = [names[spec]]
-    else:
-        raise SystemExit(
-            f"error: unknown precision program {spec!r}; bundled names: "
-            + ", ".join(sorted(names))
-            + ", all"
-        )
-
-    failures = 0
-    json_reports = []
-    for program in programs:
-        report = analyze_precision_program(program)
-        ok = report.verdict_matches and report.cross_check_ok
-        if not ok:
-            failures += 1
-        if as_json:
-            json_reports.append(report.to_json())
-        elif not quiet or not ok:
-            print(report.render())
-            print(
-                f"  expected verdict: {program.expect} "
-                f"({'as predicted' if report.verdict_matches else 'MISPREDICTED'})"
-            )
-            print()
-    if as_json:
-        print(json.dumps(json_reports, indent=2))
-    else:
-        print(
-            f"{len(programs)} program(s) audited, {failures} failure(s); "
-            "certified intervals "
-            + (
-                "contain every observed value"
-                if failures == 0
-                else "VIOLATED by the dynamic oracle"
-            )
-        )
-    return 0 if failures == 0 else 1
-
-
-def _run_lint(spec: str) -> int:
-    from repro.core.lint import lint_function
-    from repro.sil.frontend import lower_function
-
-    pyfunc = _resolve_function(spec)
-    sil_func = getattr(pyfunc, "__sil_function__", None) or lower_function(pyfunc)
-    diagnostics = lint_function(
-        sil_func, tuple(range(len(sil_func.params))), probe_custom_rules=True
-    )
-    for diag in diagnostics:
-        print(diag)
-    errors = sum(1 for d in diagnostics if d.is_error)
-    print(
-        f"@{sil_func.name}: {len(diagnostics)} diagnostic(s), {errors} error(s)"
-    )
-    return 0 if errors == 0 else 1
-
-
-def _run_ownership(spec: str, style: str, as_json: bool = False) -> int:
-    from repro.analysis.ownership import analyze_ownership
-    from repro.sil.frontend import lower_function
-
-    pyfunc = _resolve_function(spec)
-    sil_func = getattr(pyfunc, "__sil_function__", None) or lower_function(pyfunc)
-    report = analyze_ownership(sil_func, style=style)
-    if as_json:
-        print(
-            json.dumps(
-                {
-                    "function": sil_func.name,
-                    "ok": report.ok,
-                    "mutation_sites": report.copies.mutation_sites,
-                    "must_copy": report.copies.must_copy,
-                    "may_copy": report.copies.may_copy,
-                    "in_place": report.copies.in_place,
-                    "diagnostics": [_diag_json(d) for d in report.diagnostics],
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
-
-
-def _run_codegen(spec: str, quiet: bool, as_json: bool = False) -> int:
-    from repro.analysis.equivalence import CORPUS, analyze_equivalence_program
-
-    names = {p.name: p for p in CORPUS}
-    if spec == "all":
-        programs = list(CORPUS)
-    elif spec in names:
-        programs = [names[spec]]
-    else:
-        raise SystemExit(
-            f"error: unknown equivalence program {spec!r}; bundled names: "
-            + ", ".join(sorted(names))
-            + ", all"
-        )
-
-    failures = 0
-    json_reports = []
-    for program in programs:
-        report = analyze_equivalence_program(program)
-        verdict_ok = report.verdicts() == {program.expect}
-        ok = verdict_ok and report.cross_check_ok
-        if not ok:
-            failures += 1
-        if as_json:
-            json_reports.append(
-                {
-                    "program": program.name,
-                    "expect": program.expect,
-                    "verdicts": sorted(report.verdicts()),
-                    "verdict_matches": verdict_ok,
-                    "cross_check_ok": report.cross_check_ok,
-                    "ok": ok,
-                    "checks": [
-                        {
-                            "trace_key": c.trace_key,
-                            "certified": c.result.certified,
-                            "checked_values": c.result.checked_values,
-                            "term_count": c.result.term_count,
-                            "step_fn_lines": c.generated.line_count,
-                            "bit_identical": c.bit_identical,
-                            "baseline_certified": (
-                                None
-                                if c.baseline is None
-                                else c.baseline.certified
-                            ),
-                            "diagnostics": [
-                                _diag_json(d) for d in c.diagnostics
-                            ],
-                        }
-                        for c in report.checks
-                    ],
-                }
-            )
-        elif not quiet or not ok:
-            print(report.render())
-            print(
-                f"  expected verdict: {program.expect} "
-                f"({'as predicted' if verdict_ok else 'MISPREDICTED'})"
-            )
-            print()
-    if as_json:
-        print(json.dumps(json_reports, indent=2))
-    else:
-        print(
-            f"{len(programs)} program(s) validated, {failures} failure(s); "
-            "certified translations "
-            + (
-                "run bit-identically to the interpreter"
-                if failures == 0
-                else "DIVERGE from the interpreter"
-            )
-        )
-    return 0 if failures == 0 else 1
 
 
 if __name__ == "__main__":

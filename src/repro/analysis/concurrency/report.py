@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.analysis.corpus import Corpus
 from repro.errors import Diagnostic
 
 from .determinism import DeterminismReport, verify_merges, RUNTIME_MERGES
@@ -31,6 +32,17 @@ from .inventory import (
 from .lockorder import LockOrderReport, build_lock_order
 from .lockset import Access, LocksetReport, StaticEdge, analyze_locksets
 from .models import CORPUS_MODELS, CORPUS_TARGET, ConcurrencyModel
+
+
+#: What ``--concurrency`` accepts: the two whole-target runs, then every
+#: seeded model by name.  (Built here rather than next to
+#: ``CORPUS_MODELS`` because :mod:`.models` is itself an analysis target
+#: and every module-level mutable there must be in its guard registry.)
+CORPUS = Corpus(
+    "concurrency target",
+    *CORPUS_MODELS,
+    groups={"runtime": (), "corpus": CORPUS_MODELS},
+)
 
 
 @dataclass

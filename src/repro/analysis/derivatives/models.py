@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.analysis.corpus import Corpus, CorpusProgram
 from repro.sil.primitives import Primitive
 
 # ---------------------------------------------------------------------------
@@ -26,14 +27,11 @@ from repro.sil.primitives import Primitive
 
 
 @dataclass(frozen=True)
-class DerivativeModel:
-    """One corpus entry: a differentiable program plus expected verdict."""
+class DerivativeModel(CorpusProgram):
+    """A differentiable program expecting ``"clean"``,
+    ``"nonlinear-pullback"``, ``"wrong-transpose"``, ``"ill-typed-record"``
+    or ``"dead-capture"``."""
 
-    name: str
-    description: str
-    #: "clean" | "nonlinear-pullback" | "wrong-transpose" |
-    #: "ill-typed-record" | "dead-capture"
-    expect: str
     #: Sample arguments the report's finite-difference probe runs at.
     args: tuple[float, ...]
     build: Callable[[], Callable]
@@ -256,4 +254,5 @@ HAZARD_MODELS = [
     ),
 ]
 
-MODELS = {m.name: m for m in CLEAN_MODELS + HAZARD_MODELS}
+CORPUS = Corpus("derivative model", *CLEAN_MODELS, *HAZARD_MODELS)
+MODELS = CORPUS.by_name

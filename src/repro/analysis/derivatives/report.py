@@ -41,7 +41,8 @@ from repro.analysis.derivatives.liveness import (
     CaptureLiveness,
     analyze_capture_liveness,
 )
-from repro.analysis.derivatives.models import DerivativeModel
+from repro.analysis.corpus import Report
+from repro.analysis.derivatives.models import CORPUS, DerivativeModel  # noqa: F401  (CORPUS: a Sweep hook)
 from repro.analysis.derivatives.records import (
     RecordTyping,
     verify_plan_records,
@@ -75,8 +76,12 @@ class PruningStats:
 
 
 @dataclass
-class DerivativeReport:
+class DerivativeReport(Report):
     """Everything proven (and probed) about one function's derivatives."""
+
+    json_label = "function"
+    #: e.g. a nonlinear pullback usually also fails its transpose pairing.
+    extra_verdicts_ok = True
 
     func_name: str
     wrt: tuple[int, ...]
@@ -92,6 +97,12 @@ class DerivativeReport:
     #: The verified function + its activity fixpoints (for annotation).
     func: Optional[ir.Function] = None
     activity: Optional[object] = None
+    #: The corpus verdict this function must get (``None``: not a corpus entry).
+    expect: Optional[str] = None
+
+    @property
+    def name(self) -> str:
+        return self.func_name
 
     # -- verdicts ------------------------------------------------------------
 
@@ -131,6 +142,7 @@ class DerivativeReport:
             return not self.fd_match
         return self.fd_match
 
+    @property
     def diagnostics(self) -> list[Diagnostic]:
         out: list[Diagnostic] = list(self.plan_errors)
         for rule in self.rules:
@@ -147,10 +159,16 @@ class DerivativeReport:
             out.extend(self.liveness.diagnostics())
         return out
 
+    def located_errors(self) -> list[Diagnostic]:
+        """Dead captures are warnings (the gradient is right, only record
+        memory is wasted) yet they are this verifier's hazard diagnostics
+        all the same: any located diagnostic counts."""
+        return [d for d in self.diagnostics if d.location.line > 0]
+
     @property
     def ok(self) -> bool:
         return self.cross_check_ok and not any(
-            d.is_error for d in self.diagnostics()
+            d.is_error for d in self.diagnostics
         )
 
     # -- rendering -----------------------------------------------------------
@@ -205,7 +223,7 @@ class DerivativeReport:
                 f" entries ({p.entries_saved} saved), gradients "
                 + ("bit-identical" if p.gradients_identical else "DIFFER")
             )
-        diags = self.diagnostics()
+        diags = self.diagnostics
         if diags:
             lines.append("")
             lines.extend(str(d) for d in diags)
@@ -365,6 +383,7 @@ def verify_derivatives(
     wrt: Optional[tuple[int, ...]] = None,
     args: Optional[Sequence[float]] = None,
     name: Optional[str] = None,
+    expect: Optional[str] = None,
 ) -> DerivativeReport:
     """Run the full static derivative verifier over one function."""
     from repro.core.synthesis import vjp_plan
@@ -378,7 +397,7 @@ def verify_derivatives(
     if wrt is None:
         wrt = tuple(range(len(func.params)))
     report = DerivativeReport(
-        func_name=name or func.name, wrt=tuple(wrt)
+        func_name=name or func.name, wrt=tuple(wrt), expect=expect
     )
 
     try:
@@ -442,5 +461,17 @@ def analyze_derivative_model(model: DerivativeModel) -> DerivativeReport:
     """Build and verify one corpus entry."""
     fn = model.build()
     return verify_derivatives(
-        fn, wrt=model.wrt, args=model.args, name=model.name
+        fn, wrt=model.wrt, args=model.args, name=model.name, expect=model.expect
     )
+
+
+# -- hooks the shared sweep loops read (see repro.analysis.corpus.Sweep) ----
+
+analyze = analyze_derivative_model
+analyze_function = verify_derivatives
+detail = DerivativeReport.annotated_sil
+
+
+def tally(report: DerivativeReport, counters) -> None:
+    if report.pruning is not None:
+        counters.pullback_captures_pruned += report.pruning.entries_saved

@@ -16,8 +16,6 @@ from repro.analysis.equivalence.models import CORPUS, EquivalenceProgram
 from repro.analysis.equivalence.normalform import TermTable
 from repro.analysis.equivalence.report import (
     EquivalenceReport,
-    analyze_all_equivalence_models,
-    analyze_equivalence_model,
     analyze_equivalence_program,
 )
 from repro.analysis.equivalence.validator import (
@@ -33,8 +31,6 @@ __all__ = [
     "Miscompile",
     "TermTable",
     "ValidationResult",
-    "analyze_all_equivalence_models",
-    "analyze_equivalence_model",
     "analyze_equivalence_program",
     "validate_translation",
 ]

@@ -19,24 +19,26 @@ miscompiles need.  Each program builds its own device; ``build`` returns
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
+from repro.analysis.corpus import Corpus, StepProgram
+from repro.analysis.memory.models import (
+    build_diamond_tuple_outputs,
+    build_lenet_forward,
+    build_mlp_chain,
+    build_reshape_pipeline,
+)
 from repro.tensor import LazyTensorBarrier, Tensor, lazy_device
 
 
 @dataclass(frozen=True)
-class EquivalenceProgram:
-    """One corpus entry: a step program plus the expected verdict."""
+class EquivalenceProgram(StepProgram):
+    """A step program expecting ``"clean"`` or a miscompile verdict
+    (``"wrong-broadcast"``, ``"stale-reuse"``, ``"dropped-convert"``,
+    ``"reordered-op"``, ``"accum-elision"``)."""
 
-    name: str
-    description: str
-    #: "clean" or a miscompile verdict ("wrong-broadcast", "stale-reuse",
-    #: "dropped-convert", "reordered-op", "accum-elision").
-    expect: str
-    steps: int
-    build: Callable[[], tuple]
     #: Narrow the lowered module to this dtype (PR-8 naive policy) before
     #: codegen; None keeps the traced f32 module.
     narrow: Optional[str] = None
@@ -46,28 +48,10 @@ class EquivalenceProgram:
 
 
 # ---------------------------------------------------------------------------
-# Clean corpus.
+# Clean corpus.  ``mlp_chain``, ``diamond_tuple_outputs``,
+# ``reshape_pipeline`` and ``lenet_forward`` reuse the memory corpus's
+# builders: the same programs, certified one layer further down.
 # ---------------------------------------------------------------------------
-
-
-def _build_mlp_chain():
-    """Three dot/relu layers: the canonical buffer-reuse emission (two
-    pool buffers -> two rebound Python variables)."""
-    device = lazy_device()
-    rng = np.random.default_rng(0)
-    x = Tensor(rng.standard_normal((8, 16)).astype(np.float32), device)
-    ws = [
-        Tensor(rng.standard_normal((16, 16)).astype(np.float32), device)
-        for _ in range(3)
-    ]
-
-    def step_fn(step: int) -> None:
-        h = x
-        for w in ws:
-            h = (h @ w).relu()
-        LazyTensorBarrier(device)
-
-    return device, step_fn
 
 
 def _build_affine_relu_fusion():
@@ -81,23 +65,6 @@ def _build_affine_relu_fusion():
 
     def step_fn(step: int) -> None:
         y = ((x @ w) + b).relu()  # noqa: F841  (materialized by the barrier)
-        LazyTensorBarrier(device)
-
-    return device, step_fn
-
-
-def _build_diamond_tuple_outputs():
-    """Two materialized outputs -> tuple root; the return statement must
-    alias both certified values."""
-    device = lazy_device()
-    rng = np.random.default_rng(2)
-    x = Tensor(rng.standard_normal((8, 8)).astype(np.float32), device)
-    w1 = Tensor(rng.standard_normal((8, 8)).astype(np.float32), device)
-    w2 = Tensor(rng.standard_normal((8, 8)).astype(np.float32), device)
-
-    def step_fn(step: int) -> None:
-        u = x @ w1
-        v = (u * u) @ w2  # noqa: F841
         LazyTensorBarrier(device)
 
     return device, step_fn
@@ -136,21 +103,6 @@ def _build_residual_combine():
     return device, step_fn
 
 
-def _build_reshape_pipeline():
-    """reshape + transpose feeding a dot: the view/copy-ambiguous ops the
-    emitter must still name and sequence correctly."""
-    device = lazy_device()
-    rng = np.random.default_rng(3)
-    x = Tensor(rng.standard_normal((4, 4)).astype(np.float32), device)
-    w = Tensor(rng.standard_normal((2, 4)).astype(np.float32), device)
-
-    def step_fn(step: int) -> None:
-        y = x.reshaped((8, 2)) @ w  # noqa: F841
-        LazyTensorBarrier(device)
-
-    return device, step_fn
-
-
 def _build_narrow_mlp():
     """dot / relu / mean under the naive f16 policy: converts at every
     dtype boundary, f32-accumulated matmuls, and a narrow-accumulator
@@ -169,30 +121,14 @@ def _build_narrow_mlp():
     return device, step_fn
 
 
-def _build_lenet_forward():
-    """The Table 2/3 workload trace: a full LeNet forward (conv, pool,
-    flatten-reshape, dense) certified end to end."""
-    from repro.nn import LeNet
-
-    device = lazy_device()
-    model = LeNet.create(device, seed=0)
-    rng = np.random.default_rng(4)
-    xv = rng.standard_normal((2, 28, 28, 1)).astype(np.float32)
-
-    def step_fn(step: int) -> None:
-        logits = model(Tensor(xv, device))  # noqa: F841
-        LazyTensorBarrier(device)
-
-    return device, step_fn
-
-
-CORPUS: tuple[EquivalenceProgram, ...] = (
+CORPUS = Corpus(
+    "equivalence program",
     EquivalenceProgram(
         name="mlp_chain",
         description="three dot/relu layers; buffer reuse becomes rebinding",
         expect="clean",
         steps=2,
-        build=_build_mlp_chain,
+        build=build_mlp_chain,
     ),
     EquivalenceProgram(
         name="affine_relu_fusion",
@@ -206,7 +142,7 @@ CORPUS: tuple[EquivalenceProgram, ...] = (
         description="two materialized outputs; tuple root return",
         expect="clean",
         steps=2,
-        build=_build_diamond_tuple_outputs,
+        build=build_diamond_tuple_outputs,
     ),
     EquivalenceProgram(
         name="sgd_fused_update",
@@ -227,7 +163,7 @@ CORPUS: tuple[EquivalenceProgram, ...] = (
         description="reshape feeding a dot; may-alias ops emitted in order",
         expect="clean",
         steps=2,
-        build=_build_reshape_pipeline,
+        build=build_reshape_pipeline,
     ),
     EquivalenceProgram(
         name="narrow_mlp_f16",
@@ -250,7 +186,7 @@ CORPUS: tuple[EquivalenceProgram, ...] = (
         description="full LeNet forward (the Table 2/3 workload trace)",
         expect="clean",
         steps=1,
-        build=_build_lenet_forward,
+        build=build_lenet_forward,
     ),
     # -- seeded miscompiles (each transform applied to certified source) --
     EquivalenceProgram(
@@ -297,10 +233,3 @@ CORPUS: tuple[EquivalenceProgram, ...] = (
     ),
 )
 
-
-def get_program(name: str) -> EquivalenceProgram:
-    for program in CORPUS:
-        if program.name == name:
-            return program
-    known = ", ".join(p.name for p in CORPUS)
-    raise KeyError(f"unknown equivalence program {name!r} (known: {known})")

@@ -16,35 +16,19 @@ captured source data and comparing results bit for bit.  The contract:
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from repro.analysis.corpus import StepReport, diag_json
 from repro.errors import Diagnostic, SourceLocation
 
 from .miscompiles import MISCOMPILES, Miscompile
-from .models import CORPUS, EquivalenceProgram, get_program
+from .models import CORPUS, EquivalenceProgram  # noqa: F401  (CORPUS: a Sweep hook)
 from .validator import ValidationResult, validate_translation
 
-#: Diagnostic message prefix -> corpus verdict label.
-_VERDICT_PREFIXES = (
-    ("wrong-broadcast", "wrong-broadcast"),
-    ("stale-reuse", "stale-reuse"),
-    ("dropped-convert", "dropped-convert"),
-    ("reordered-op", "reordered-op"),
-    ("accum-elision", "accum-elision"),
-)
-
 _MISCOMPILE_BY_NAME = {m.name: m for m in MISCOMPILES}
-
-
-def _verdict_of(diag: Diagnostic) -> Optional[str]:
-    for prefix, label in _VERDICT_PREFIXES:
-        if diag.message.startswith(prefix):
-            return label
-    return None
 
 
 def _bit_identical(a, b) -> bool:
@@ -87,23 +71,14 @@ class TraceEquivalenceCheck:
 
 
 @dataclass
-class EquivalenceReport:
+class EquivalenceReport(StepReport):
     """Everything translation validation concluded about one corpus program."""
 
+    #: Seeded-bug diagnostics are re-badged with the bug's verdict label.
+    verdict_prefixes = tuple((m.verdict, m.verdict) for m in MISCOMPILES)
+
     program: EquivalenceProgram
-    location: SourceLocation
     checks: list[TraceEquivalenceCheck] = field(default_factory=list)
-
-    def diagnostics(self) -> list[Diagnostic]:
-        return [d for c in self.checks for d in c.diagnostics]
-
-    def verdicts(self) -> set[str]:
-        found = {
-            v
-            for d in self.diagnostics()
-            if d.is_error and (v := _verdict_of(d)) is not None
-        }
-        return found or {"clean"}
 
     @property
     def cross_check_ok(self) -> bool:
@@ -133,6 +108,25 @@ class EquivalenceReport:
             return 0.0
         good = sum(1 for c in self.checks if c.result.certified)
         return good / len(self.checks)
+
+    def json_details(self) -> dict:
+        return {
+            "checks": [
+                {
+                    "trace_key": c.trace_key,
+                    "certified": c.result.certified,
+                    "checked_values": c.result.checked_values,
+                    "term_count": c.result.term_count,
+                    "step_fn_lines": c.generated.line_count,
+                    "bit_identical": c.bit_identical,
+                    "baseline_certified": (
+                        None if c.baseline is None else c.baseline.certified
+                    ),
+                    "diagnostics": [diag_json(d) for d in c.diagnostics],
+                }
+                for c in self.checks
+            ]
+        }
 
     def render(self) -> str:
         lines = [
@@ -165,18 +159,10 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def _program_location(program: EquivalenceProgram) -> SourceLocation:
-    fn = inspect.unwrap(program.build)
-    code = fn.__code__
-    return SourceLocation(code.co_filename, code.co_firstlineno)
-
-
-def _lower_traced_module(record, program: EquivalenceProgram):
-    """Trace nodes -> the scheduled module codegen sees, plus run args."""
+def _schedule_module(module, param_nodes, program: EquivalenceProgram):
+    """Lowered trace -> the scheduled module codegen sees, plus run args."""
     from repro.hlo.passes import optimize
-    from repro.tensor.lazy_backend import _lower_to_hlo
 
-    module, param_nodes = _lower_to_hlo(record.fragment.to_trace_nodes())
     if program.narrow is not None:
         from repro.analysis.precision.casts import apply_plan, naive_assignment
 
@@ -288,30 +274,26 @@ def _check_trace(
 def analyze_equivalence_program(program: EquivalenceProgram) -> EquivalenceReport:
     """Capture ``program``'s traces, certify each unique one, and pit the
     certificate against the dynamic oracle (or the seeded bug)."""
-    from repro.analysis.tracing.canonical import canonicalize
-    from repro.analysis.tracing.capture import capture_step_traces
+    from repro.analysis.tracing.capture import unique_traces
 
-    device, step_fn = program.build()
-    capture = capture_step_traces(
-        step_fn, steps=program.steps, device=device, keep_source_data=True
-    )
-
-    location = _program_location(program)
-    report = EquivalenceReport(program=program, location=location)
-    seen: set[str] = set()
-    for record in capture.fragments:
-        key = canonicalize(record.fragment.roots).digest
-        if key in seen:
-            continue
-        seen.add(key)
-        module, args = _lower_traced_module(record, program)
-        report.checks.append(_check_trace(key, module, args, program, location))
+    report = EquivalenceReport(program=program)
+    for key, module, param_nodes in unique_traces(program, keep_source_data=True):
+        module, args = _schedule_module(module, param_nodes, program)
+        report.checks.append(
+            _check_trace(key, module, args, program, program.location)
+        )
     return report
 
 
-def analyze_equivalence_model(name: str) -> EquivalenceReport:
-    return analyze_equivalence_program(get_program(name))
+# -- hooks the shared sweep loops read (see repro.analysis.corpus.Sweep) ----
+
+analyze = analyze_equivalence_program
 
 
-def analyze_all_equivalence_models() -> list[EquivalenceReport]:
-    return [analyze_equivalence_program(p) for p in CORPUS]
+def tally(report: EquivalenceReport, counters) -> None:
+    if report.program.miscompile is not None:
+        return  # a caught miscompile is counted by the sweep itself
+    for check in report.checks:
+        counters.codegen_modules_certified += 1
+        counters.codegen_values_checked += check.result.checked_values
+        counters.differential_matches += 1

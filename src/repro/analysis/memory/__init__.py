@@ -23,7 +23,7 @@ from .bufferplan import (
     validate_plan,
 )
 from .liveness import LivenessInfo, ValueInfo, analyze_liveness
-from .models import CORPUS, MemoryProgram, get_program
+from .models import CORPUS, MemoryProgram
 from .peak import (
     PassAttribution,
     PeakCertificate,
@@ -35,8 +35,6 @@ from .remat import RematCandidate, budget_diagnostics, remat_candidates
 from .report import (
     MemoryPlanReport,
     TraceMemoryCheck,
-    analyze_all_memory_models,
-    analyze_memory_model,
     analyze_memory_program,
     buffer_annotations,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "analyze_liveness",
     "CORPUS",
     "MemoryProgram",
-    "get_program",
     "PassAttribution",
     "PeakCertificate",
     "attribute_passes",
@@ -62,8 +59,6 @@ __all__ = [
     "remat_candidates",
     "MemoryPlanReport",
     "TraceMemoryCheck",
-    "analyze_all_memory_models",
-    "analyze_memory_model",
     "analyze_memory_program",
     "buffer_annotations",
 ]

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.analysis.corpus import Corpus, StepProgram
 from repro.tensor import LazyTensorBarrier, Tensor, lazy_device
 
 from .bufferplan import MemoryPlan, force_donation, force_shared_buffer
@@ -32,30 +33,27 @@ from .liveness import LivenessInfo
 
 
 @dataclass(frozen=True)
-class MemoryProgram:
-    """One corpus entry: a step program plus the expected memory verdict."""
+class MemoryProgram(StepProgram):
+    """A step program expecting ``"clean"``, ``"over-budget"``,
+    ``"unsafe-in-place"`` or ``"tuple-aliasing"``."""
 
-    name: str
-    description: str
-    #: "clean" | "over-budget" | "unsafe-in-place" | "tuple-aliasing"
-    expect: str
-    steps: int
     #: True when the static model must match the dynamic tracker exactly
     #: (no may-alias ops, predicates, or scalar reductions in the trace).
     straight_line: bool
-    build: Callable[[], tuple]
     budget_bytes: Optional[int] = None
     corrupt: Optional[Callable[[LivenessInfo, MemoryPlan], MemoryPlan]] = None
 
 
 # ---------------------------------------------------------------------------
-# Clean corpus.
+# Clean corpus.  The four public builders are shared with the codegen
+# corpus (:mod:`repro.analysis.equivalence.models`), which certifies the
+# emitted step functions of the very same programs.
 # ---------------------------------------------------------------------------
 
 
-def _build_mlp_chain_reuse():
+def build_mlp_chain():
     """Three equal-width dot/relu layers: the canonical buffer-reuse case
-    (two pool buffers serve six values)."""
+    (two pool buffers serve six values; codegen rebinds two variables)."""
     device = lazy_device()
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((8, 16)).astype(np.float32), device)
@@ -89,9 +87,10 @@ def _build_affine_relu_fusion():
     return device, step_fn
 
 
-def _build_diamond_tuple_outputs():
+def build_diamond_tuple_outputs():
     """Two materialized outputs -> tuple root; the early output's storage
-    must stay live through the whole schedule."""
+    must stay live through the whole schedule, and the emitted return
+    statement must alias both certified values."""
     device = lazy_device()
     rng = np.random.default_rng(2)
     x = Tensor(rng.standard_normal((8, 8)).astype(np.float32), device)
@@ -119,9 +118,10 @@ def _build_sgd_fused_update():
     return device, step_fn
 
 
-def _build_reshape_pipeline():
+def build_reshape_pipeline():
     """A reshape feeding a dot: may-alias, so the certificate is an upper
-    bound (NumPy returns a view; the planner must also budget the copy)."""
+    bound (NumPy returns a view; the planner must also budget the copy) —
+    a view/copy-ambiguous op the emitter must still name and sequence."""
     device = lazy_device()
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((4, 4)).astype(np.float32), device)
@@ -134,7 +134,7 @@ def _build_reshape_pipeline():
     return device, step_fn
 
 
-def _build_lenet_forward():
+def build_lenet_forward():
     """The Table 2/3 workload trace: a full LeNet forward (conv, pool,
     flatten-reshape, dense) certified end to end."""
     from repro.nn import LeNet
@@ -234,14 +234,15 @@ def _corrupt_share_tuple_elements(
     return force_shared_buffer(plan, roots[0], roots[1])
 
 
-CORPUS: tuple[MemoryProgram, ...] = (
+CORPUS = Corpus(
+    "memory program",
     MemoryProgram(
         name="mlp_chain_reuse",
         description="three equal-width dot/relu layers; pool of two buffers",
         expect="clean",
         steps=2,
         straight_line=True,
-        build=_build_mlp_chain_reuse,
+        build=build_mlp_chain,
     ),
     MemoryProgram(
         name="affine_relu_fusion",
@@ -257,7 +258,7 @@ CORPUS: tuple[MemoryProgram, ...] = (
         expect="clean",
         steps=2,
         straight_line=True,
-        build=_build_diamond_tuple_outputs,
+        build=build_diamond_tuple_outputs,
     ),
     MemoryProgram(
         name="sgd_fused_update",
@@ -273,7 +274,7 @@ CORPUS: tuple[MemoryProgram, ...] = (
         expect="clean",
         steps=2,
         straight_line=False,
-        build=_build_reshape_pipeline,
+        build=build_reshape_pipeline,
     ),
     MemoryProgram(
         name="lenet_forward",
@@ -281,7 +282,7 @@ CORPUS: tuple[MemoryProgram, ...] = (
         expect="clean",
         steps=1,
         straight_line=False,
-        build=_build_lenet_forward,
+        build=build_lenet_forward,
     ),
     MemoryProgram(
         name="held_activation_over_budget",
@@ -312,10 +313,3 @@ CORPUS: tuple[MemoryProgram, ...] = (
     ),
 )
 
-
-def get_program(name: str) -> MemoryProgram:
-    for program in CORPUS:
-        if program.name == name:
-            return program
-    known = ", ".join(p.name for p in CORPUS)
-    raise KeyError(f"unknown memory program {name!r} (known: {known})")

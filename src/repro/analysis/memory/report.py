@@ -15,32 +15,17 @@ actually ran.  The contract:
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import Diagnostic, SourceLocation
+from repro.analysis.corpus import StepReport, diag_json
+from repro.errors import Diagnostic
 
 from .bufferplan import MemoryPlan, plan_buffers, validate_plan
 from .liveness import LivenessInfo, analyze_liveness
-from .models import CORPUS, MemoryProgram, get_program
+from .models import CORPUS, MemoryProgram  # noqa: F401  (CORPUS: a Sweep hook)
 from .peak import PassAttribution, PeakCertificate, attribute_passes, certify
 from .remat import RematCandidate, budget_diagnostics
-
-#: Diagnostic message prefix -> corpus verdict label.
-_VERDICT_PREFIXES = (
-    ("tuple-aliasing", "tuple-aliasing"),
-    ("unsafe in-place", "unsafe-in-place"),
-    ("unsafe buffer reuse", "unsafe-reuse"),
-    ("over budget", "over-budget"),
-)
-
-
-def _verdict_of(diag: Diagnostic) -> Optional[str]:
-    for prefix, label in _VERDICT_PREFIXES:
-        if diag.message.startswith(prefix):
-            return label
-    return None
 
 
 @dataclass
@@ -75,23 +60,18 @@ class TraceMemoryCheck:
 
 
 @dataclass
-class MemoryPlanReport:
+class MemoryPlanReport(StepReport):
     """Everything the memory analysis concluded about one corpus program."""
 
+    verdict_prefixes = (
+        ("tuple-aliasing", "tuple-aliasing"),
+        ("unsafe in-place", "unsafe-in-place"),
+        ("unsafe buffer reuse", "unsafe-reuse"),
+        ("over budget", "over-budget"),
+    )
+
     program: MemoryProgram
-    location: SourceLocation
     checks: list[TraceMemoryCheck] = field(default_factory=list)
-
-    def diagnostics(self) -> list[Diagnostic]:
-        return [d for c in self.checks for d in c.diagnostics]
-
-    def verdicts(self) -> set[str]:
-        found = {
-            v
-            for d in self.diagnostics()
-            if d.is_error and (v := _verdict_of(d)) is not None
-        }
-        return found or {"clean"}
 
     @property
     def cross_check_ok(self) -> bool:
@@ -113,6 +93,25 @@ class MemoryPlanReport:
     def reuse_factor(self) -> float:
         factors = [c.certificate.reuse_factor for c in self.checks]
         return max(factors) if factors else 1.0
+
+    def json_details(self) -> dict:
+        return {
+            "reuse_factor": self.reuse_factor,
+            "checks": [
+                {
+                    "trace_key": c.trace_key,
+                    "certified_peak_bytes": c.certificate.certified_peak_bytes,
+                    "observed_peak_bytes": c.observed_peak_bytes,
+                    "sound": c.sound,
+                    "exact": c.exact,
+                    "planned_pool_bytes": c.certificate.planned_pool_bytes,
+                    "naive_bytes": c.certificate.naive_bytes,
+                    "buffers_reused": c.plan.buffers_reused,
+                    "diagnostics": [diag_json(d) for d in c.diagnostics],
+                }
+                for c in self.checks
+            ],
+        }
 
     def render(self) -> str:
         lines = [
@@ -148,33 +147,18 @@ class MemoryPlanReport:
         return "\n".join(lines)
 
 
-def _program_location(program: MemoryProgram) -> SourceLocation:
-    fn = inspect.unwrap(program.build)
-    code = fn.__code__
-    return SourceLocation(code.co_filename, code.co_firstlineno)
-
-
 def analyze_memory_program(program: MemoryProgram) -> MemoryPlanReport:
     """Run ``program`` under the dynamic oracle, then certify every unique
     trace it produced and cross-check the two."""
-    from repro.analysis.tracing.canonical import canonicalize
-    from repro.analysis.tracing.capture import capture_step_traces
+    from repro.analysis.tracing.capture import unique_traces
     from repro.runtime import memory as runtime_memory
-    from repro.tensor.lazy_backend import _lower_to_hlo
 
-    device, step_fn = program.build()
     with runtime_memory.trace_attribution() as attribution:
-        capture = capture_step_traces(step_fn, steps=program.steps, device=device)
+        traces = unique_traces(program)
 
-    location = _program_location(program)
-    report = MemoryPlanReport(program=program, location=location)
-    seen: set[str] = set()
-    for record in capture.fragments:
-        key = canonicalize(record.fragment.roots).digest
-        if key in seen:
-            continue
-        seen.add(key)
-        module, _params = _lower_to_hlo(record.fragment.to_trace_nodes())
+    location = program.location
+    report = MemoryPlanReport(program=program)
+    for key, module, _params in traces:
         pass_attribution = attribute_passes(module)
         liveness = analyze_liveness(module)
         plan = plan_buffers(liveness, trace_key=key)
@@ -201,12 +185,16 @@ def analyze_memory_program(program: MemoryProgram) -> MemoryPlanReport:
     return report
 
 
-def analyze_memory_model(name: str) -> MemoryPlanReport:
-    return analyze_memory_program(get_program(name))
+# -- hooks the shared sweep loops read (see repro.analysis.corpus.Sweep) ----
+
+analyze = analyze_memory_program
 
 
-def analyze_all_memory_models() -> list[MemoryPlanReport]:
-    return [analyze_memory_program(p) for p in CORPUS]
+def tally(report: MemoryPlanReport, counters) -> None:
+    for check in report.checks:
+        counters.peak_bounds_certified += 1
+        counters.exact_peak_matches += check.liveness.straight_line
+        counters.buffers_reused += check.plan.buffers_reused
 
 
 def buffer_annotations(module) -> dict[int, str]:

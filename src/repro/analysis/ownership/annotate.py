@@ -87,6 +87,49 @@ def analyze_ownership(
     )
 
 
+def analyze_ownership_model(model, style: str = "mvs") -> OwnershipReport:
+    """Lower and analyze one entry of :data:`.models.CORPUS`."""
+    from repro.sil.frontend import lower_function
+
+    return analyze_ownership(lower_function(model.fn), style=style)
+
+
+def tally(model, report: OwnershipReport, counters) -> list[str]:
+    """Hold one corpus function's report to its expected verdict, adding
+    its evidence to the self-check ``counters``; returns what failed.
+
+    Clean functions must draw no diagnostic at all, and the optimizer
+    update loops must additionally be *all in-place* — the statically
+    proven half of the zero-copy parameter-update claim (Section 4.3).
+    Seeded violations must draw their expected severity (error = certain
+    trap, warning = dynamic check required).
+    """
+    # Imported here: repro.core.synthesis loads this package at plan time
+    # and has no use for the corpus.
+    from repro.analysis.ownership.models import OPTIMIZER_MODELS
+
+    counters.ownership_functions_checked += 1
+    if model.expect == "clean":
+        counters.mutation_sites_labeled += report.copies.mutation_sites
+        problems = []
+        if report.diagnostics:
+            problems.append("false positive: " + report.diagnostics[0].message)
+        copies = report.copies
+        if model.name in OPTIMIZER_MODELS and (
+            copies.must_copy or copies.may_copy or not copies.in_place
+        ):
+            problems.append("update loop not proven copy-free")
+        return problems
+    severities = {d.severity for d in report.diagnostics}
+    if model.expect in severities:
+        counters.exclusivity_violations_caught += 1
+        return []
+    return [
+        f"expected a(n) {model.expect} verdict, "
+        f"got {sorted(severities) or ['none']}"
+    ]
+
+
 def check_ownership(func: ir.Function) -> list[Diagnostic]:
     """Raise :class:`VerificationError` carrying every certain exclusivity
     violation; return the full diagnostic batch (warnings included)

@@ -19,7 +19,10 @@ every one of them — with zero false positives on the clean corpus.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
+from repro.analysis.corpus import Corpus, CorpusProgram
 from repro.valsem.inout import borrow_attr, borrow_item
 
 # ---------------------------------------------------------------------------
@@ -174,3 +177,32 @@ VIOLATION_SUITE = [
     (aug_assign_under_borrow, "error"),
     (aliased_writes_may_conflict, "warning"),
 ]
+
+
+# ---------------------------------------------------------------------------
+# The corpus table ``--ownership`` and self-check sweep 4 walk.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OwnershipModel(CorpusProgram):
+    """A lowerable function expecting ``"clean"`` (no diagnostic at all),
+    ``"error"`` or ``"warning"``; the two copy exemplars carry no
+    expectation and are addressable by name only."""
+
+    fn: Callable
+
+
+CORPUS = Corpus(
+    "function",
+    *(
+        OwnershipModel(fn.__name__, "clean suite", "clean", fn)
+        for fn in CLEAN_SUITE
+    ),
+    OwnershipModel("copy_then_write", "copy exemplar", None, copy_then_write),
+    OwnershipModel("array_subscript", "copy exemplar", None, array_subscript),
+    *(
+        OwnershipModel(fn.__name__, "seeded violation", verdict, fn)
+        for fn, verdict in VIOLATION_SUITE
+    ),
+)

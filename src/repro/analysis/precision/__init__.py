@@ -33,21 +33,17 @@ from repro.analysis.precision.casts import (
 )
 from repro.analysis.precision.dtypeflow import check_dtype_flow
 from repro.analysis.precision.intervals import Interval
-from repro.analysis.precision.models import CORPUS, PrecisionProgram, get_program
+from repro.analysis.precision.models import CORPUS, PrecisionProgram
 from repro.analysis.precision.oracle import run_observed, run_reference
 from repro.analysis.precision.ranges import RangeInfo, analyze_ranges
 from repro.analysis.precision.report import (
     PrecisionReport,
     TracePrecisionCheck,
-    analyze_all_precision_models,
-    analyze_precision_model,
     analyze_precision_program,
 )
 
 __all__ = [
     "CORPUS",
-    "analyze_all_precision_models",
-    "analyze_precision_model",
     "Interval",
     "PrecisionAssignment",
     "PrecisionProgram",
@@ -58,7 +54,6 @@ __all__ = [
     "analyze_ranges",
     "apply_plan",
     "check_dtype_flow",
-    "get_program",
     "naive_assignment",
     "plan_casts",
     "run_observed",

@@ -27,7 +27,8 @@ from repro.hlo.dtypes import FINFO, finfo
 from repro.hlo.ir import NARROW_DTYPES, HloModule
 from repro.analysis.precision.ranges import RangeInfo, reduced_element_count
 
-#: Diagnostic message prefix -> corpus verdict label.
+#: Diagnostic message prefix -> corpus verdict label (read through
+#: :func:`repro.analysis.corpus.verdict_of`).
 VERDICT_PREFIXES = (
     ("overflow-to-inf", "overflow"),
     ("unsafe cast", "unsafe-cast"),
@@ -155,9 +156,3 @@ def _loss_scale_exponent(smallest_normal: float, max_abs: float) -> int:
     range (4 extra doublings of headroom above the smallest normal)."""
     return int(math.ceil(math.log2(smallest_normal / max_abs))) + 4
 
-
-def verdict_of(diag: Diagnostic) -> str | None:
-    for prefix, label in VERDICT_PREFIXES:
-        if diag.message.startswith(prefix):
-            return label
-    return None

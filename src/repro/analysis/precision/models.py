@@ -25,25 +25,20 @@ audited against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from repro.analysis.corpus import Corpus, StepProgram
 from repro.tensor import LazyTensorBarrier, Tensor, lazy_device
 
 
 @dataclass(frozen=True)
-class PrecisionProgram:
-    """One corpus entry: a step program plus its expected precision verdict."""
+class PrecisionProgram(StepProgram):
+    """A step program expecting ``"clean"``, ``"overflow"``,
+    ``"underflow"``, ``"accum-drift"`` or ``"unsafe-cast"``."""
 
-    name: str
-    description: str
-    #: "clean" | "overflow" | "underflow" | "accum-drift" | "unsafe-cast"
-    expect: str
     #: The narrow dtype the program is audited against ("f16" | "bf16").
     policy: str
-    steps: int
-    build: Callable[[], tuple]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +254,8 @@ def _build_wide_range_unsafe_cast():
     return device, step_fn
 
 
-CORPUS: tuple[PrecisionProgram, ...] = (
+CORPUS = Corpus(
+    "precision program",
     PrecisionProgram(
         name="mlp_forward_f16",
         description="two small dot/relu layers; O(1) activations",
@@ -358,10 +354,3 @@ CORPUS: tuple[PrecisionProgram, ...] = (
     ),
 )
 
-
-def get_program(name: str) -> PrecisionProgram:
-    for program in CORPUS:
-        if program.name == name:
-            return program
-    known = ", ".join(p.name for p in CORPUS)
-    raise KeyError(f"unknown precision program {name!r} (known: {known})")

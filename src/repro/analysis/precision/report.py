@@ -24,19 +24,19 @@ For every unique captured trace of a program:
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import Diagnostic, SourceLocation
+from repro.analysis.corpus import StepReport
+from repro.errors import Diagnostic
 from repro.hlo.dtypes import finfo
 from repro.hlo.ir import HloModule
 
 from .casts import PrecisionAssignment, apply_plan, naive_assignment, plan_casts
-from .dtypeflow import check_dtype_flow, verdict_of
+from .dtypeflow import VERDICT_PREFIXES, check_dtype_flow
 from .intervals import Interval
-from .models import CORPUS, PrecisionProgram, get_program
+from .models import CORPUS, PrecisionProgram  # noqa: F401  (CORPUS: a Sweep hook)
 from .oracle import OracleRun, OutputError, output_errors, run_observed, run_reference
 from .ranges import RangeInfo, analyze_ranges
 
@@ -99,29 +99,15 @@ class TracePrecisionCheck:
 
 
 @dataclass
-class PrecisionReport:
+class PrecisionReport(StepReport):
     """Everything the precision analysis concluded about one program."""
 
+    verdict_prefixes = VERDICT_PREFIXES
+    #: e.g. an unsafe cast's out-of-range value also overflows downstream.
+    extra_verdicts_ok = True
+
     program: PrecisionProgram
-    location: SourceLocation
     checks: list[TracePrecisionCheck] = field(default_factory=list)
-
-    def diagnostics(self) -> list[Diagnostic]:
-        return [d for c in self.checks for d in c.diagnostics]
-
-    def verdicts(self) -> set[str]:
-        found = {
-            v
-            for d in self.diagnostics()
-            if d.is_error and (v := verdict_of(d)) is not None
-        }
-        return found or {"clean"}
-
-    @property
-    def verdict_matches(self) -> bool:
-        if self.program.expect == "clean":
-            return self.verdicts() == {"clean"}
-        return self.program.expect in self.verdicts()
 
     @property
     def cross_check_ok(self) -> bool:
@@ -213,12 +199,6 @@ class PrecisionReport:
         }
 
 
-def _program_location(program: PrecisionProgram) -> SourceLocation:
-    fn = inspect.unwrap(program.build)
-    code = fn.__code__
-    return SourceLocation(code.co_filename, code.co_firstlineno)
-
-
 def _containment(
     module: HloModule, ranges: RangeInfo, run: OracleRun, label: str
 ) -> list[str]:
@@ -253,23 +233,11 @@ def _certified_peak(module: HloModule, trace_key: str) -> int:
 
 def analyze_precision_program(program: PrecisionProgram) -> PrecisionReport:
     """Run ``program`` and audit every unique trace it produced."""
-    from repro.analysis.tracing.canonical import canonicalize
-    from repro.analysis.tracing.capture import capture_step_traces
-    from repro.tensor.lazy_backend import _lower_to_hlo
+    from repro.analysis.tracing.capture import unique_traces
 
-    device, step_fn = program.build()
-    capture = capture_step_traces(
-        step_fn, steps=program.steps, device=device, keep_source_data=True
-    )
-    location = _program_location(program)
-    report = PrecisionReport(program=program, location=location)
-    seen: set[str] = set()
-    for record in capture.fragments:
-        key = canonicalize(record.fragment.roots).digest
-        if key in seen:
-            continue
-        seen.add(key)
-        module, param_nodes = _lower_to_hlo(record.fragment.to_trace_nodes())
+    location = program.location
+    report = PrecisionReport(program=program)
+    for key, module, param_nodes in unique_traces(program, keep_source_data=True):
         args = [np.asarray(p.data, np.float32) for p in param_nodes]
         param_intervals = {
             i: Interval.of_array(a) for i, a in enumerate(args)
@@ -314,9 +282,12 @@ def analyze_precision_program(program: PrecisionProgram) -> PrecisionReport:
     return report
 
 
-def analyze_precision_model(name: str) -> PrecisionReport:
-    return analyze_precision_program(get_program(name))
+# -- hooks the shared sweep loops read (see repro.analysis.corpus.Sweep) ----
+
+analyze = analyze_precision_program
 
 
-def analyze_all_precision_models() -> list[PrecisionReport]:
-    return [analyze_precision_program(p) for p in CORPUS]
+def tally(report: PrecisionReport, counters) -> None:
+    counters.intervals_contained += len(report.checks)
+    counters.autocast_plans_verified += len(report.checks)
+    counters.narrow_peak_bytes_saved += max(report.bytes_saved, 0)

@@ -96,7 +96,7 @@ everything holds.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -108,51 +108,56 @@ from repro.sil.primitives import PRIMITIVES, Primitive
 from repro.sil.typecheck import verify_typed
 
 
+def _counter(label: str):
+    """A zero-initialized counter field; ``label`` is its summary wording."""
+    return field(default=0, metadata={"label": label})
+
+
 @dataclass
 class SelfCheckReport:
     """What the self-check covered and what it found."""
 
-    primitives_checked: int = 0
-    vjp_plans_verified: int = 0
-    jvp_plans_verified: int = 0
-    nondifferentiable_rejected: int = 0
-    hlo_modules_verified: int = 0
-    hlo_instructions_verified: int = 0
-    functions_pipelined: int = 0
-    ownership_functions_checked: int = 0
-    exclusivity_violations_caught: int = 0
-    mutation_sites_labeled: int = 0
-    trace_programs_checked: int = 0
-    trace_hazards_caught: int = 0
-    trace_predictions_matched: int = 0
-    trace_fragments_cross_validated: int = 0
-    malformed_traces_rejected: int = 0
-    derivative_rules_checked: int = 0
-    pullbacks_proven_linear: int = 0
-    transpose_pairs_consistent: int = 0
-    derivative_models_checked: int = 0
-    derivative_hazards_caught: int = 0
-    pullback_captures_pruned: int = 0
-    shared_fields_inventoried: int = 0
-    guarded_accesses_proven: int = 0
-    lock_edges_cross_checked: int = 0
-    concurrency_models_checked: int = 0
-    concurrency_hazards_caught: int = 0
-    merges_verified: int = 0
-    memory_programs_checked: int = 0
-    memory_hazards_caught: int = 0
-    peak_bounds_certified: int = 0
-    exact_peak_matches: int = 0
-    buffers_reused: int = 0
-    precision_programs_checked: int = 0
-    precision_hazards_caught: int = 0
-    intervals_contained: int = 0
-    autocast_plans_verified: int = 0
-    narrow_peak_bytes_saved: int = 0
-    codegen_modules_certified: int = 0
-    codegen_values_checked: int = 0
-    miscompiles_caught: int = 0
-    differential_matches: int = 0
+    primitives_checked: int = _counter("primitives checked")
+    vjp_plans_verified: int = _counter("VJP plans verified")
+    jvp_plans_verified: int = _counter("JVP plans verified")
+    nondifferentiable_rejected: int = _counter("non-differentiable rejected")
+    hlo_modules_verified: int = _counter("HLO modules verified")
+    hlo_instructions_verified: int = _counter("HLO instructions verified")
+    functions_pipelined: int = _counter("functions through verify_each")
+    ownership_functions_checked: int = _counter("ownership-checked functions")
+    exclusivity_violations_caught: int = _counter("exclusivity violations caught")
+    mutation_sites_labeled: int = _counter("mutation sites labeled")
+    trace_programs_checked: int = _counter("trace programs checked")
+    trace_hazards_caught: int = _counter("trace hazards caught")
+    trace_predictions_matched: int = _counter("cache predictions matched")
+    trace_fragments_cross_validated: int = _counter("fragments cross-validated")
+    malformed_traces_rejected: int = _counter("malformed traces rejected")
+    derivative_rules_checked: int = _counter("derivative rules checked")
+    pullbacks_proven_linear: int = _counter("pullbacks proven linear")
+    transpose_pairs_consistent: int = _counter("transpose pairs consistent")
+    derivative_models_checked: int = _counter("derivative models checked")
+    derivative_hazards_caught: int = _counter("derivative hazards caught")
+    pullback_captures_pruned: int = _counter("pullback captures pruned")
+    shared_fields_inventoried: int = _counter("shared fields inventoried")
+    guarded_accesses_proven: int = _counter("guarded accesses proven")
+    lock_edges_cross_checked: int = _counter("lock edges cross-checked")
+    concurrency_models_checked: int = _counter("concurrency models checked")
+    concurrency_hazards_caught: int = _counter("concurrency hazards caught")
+    merges_verified: int = _counter("merges verified")
+    memory_programs_checked: int = _counter("memory programs checked")
+    memory_hazards_caught: int = _counter("memory hazards caught")
+    peak_bounds_certified: int = _counter("peak bounds certified")
+    exact_peak_matches: int = _counter("exact peak matches")
+    buffers_reused: int = _counter("buffers reused")
+    precision_programs_checked: int = _counter("precision programs checked")
+    precision_hazards_caught: int = _counter("precision hazards caught")
+    intervals_contained: int = _counter("intervals containing observed")
+    autocast_plans_verified: int = _counter("autocast plans verified")
+    narrow_peak_bytes_saved: int = _counter("narrowed peak bytes saved")
+    codegen_modules_certified: int = _counter("codegen modules certified")
+    codegen_values_checked: int = _counter("codegen values proven")
+    miscompiles_caught: int = _counter("miscompiles caught")
+    differential_matches: int = _counter("differential runs identical")
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -166,47 +171,9 @@ class SelfCheckReport:
 
     def summary(self) -> str:
         lines = [
-            f"primitives checked:            {self.primitives_checked}",
-            f"VJP plans verified:            {self.vjp_plans_verified}",
-            f"JVP plans verified:            {self.jvp_plans_verified}",
-            f"non-differentiable rejected:   {self.nondifferentiable_rejected}",
-            f"HLO modules verified:          {self.hlo_modules_verified}",
-            f"HLO instructions verified:     {self.hlo_instructions_verified}",
-            f"functions through verify_each: {self.functions_pipelined}",
-            f"ownership-checked functions:   {self.ownership_functions_checked}",
-            f"exclusivity violations caught: {self.exclusivity_violations_caught}",
-            f"mutation sites labeled:        {self.mutation_sites_labeled}",
-            f"trace programs checked:        {self.trace_programs_checked}",
-            f"trace hazards caught:          {self.trace_hazards_caught}",
-            f"cache predictions matched:     {self.trace_predictions_matched}",
-            f"fragments cross-validated:     {self.trace_fragments_cross_validated}",
-            f"malformed traces rejected:     {self.malformed_traces_rejected}",
-            f"derivative rules checked:      {self.derivative_rules_checked}",
-            f"pullbacks proven linear:       {self.pullbacks_proven_linear}",
-            f"transpose pairs consistent:    {self.transpose_pairs_consistent}",
-            f"derivative models checked:     {self.derivative_models_checked}",
-            f"derivative hazards caught:     {self.derivative_hazards_caught}",
-            f"pullback captures pruned:      {self.pullback_captures_pruned}",
-            f"shared fields inventoried:     {self.shared_fields_inventoried}",
-            f"guarded accesses proven:       {self.guarded_accesses_proven}",
-            f"lock edges cross-checked:      {self.lock_edges_cross_checked}",
-            f"concurrency models checked:    {self.concurrency_models_checked}",
-            f"concurrency hazards caught:    {self.concurrency_hazards_caught}",
-            f"merges verified:               {self.merges_verified}",
-            f"memory programs checked:       {self.memory_programs_checked}",
-            f"memory hazards caught:         {self.memory_hazards_caught}",
-            f"peak bounds certified:         {self.peak_bounds_certified}",
-            f"exact peak matches:            {self.exact_peak_matches}",
-            f"buffers reused:                {self.buffers_reused}",
-            f"precision programs checked:    {self.precision_programs_checked}",
-            f"precision hazards caught:      {self.precision_hazards_caught}",
-            f"intervals containing observed: {self.intervals_contained}",
-            f"autocast plans verified:       {self.autocast_plans_verified}",
-            f"narrowed peak bytes saved:     {self.narrow_peak_bytes_saved}",
-            f"codegen modules certified:     {self.codegen_modules_certified}",
-            f"codegen values proven:         {self.codegen_values_checked}",
-            f"miscompiles caught:            {self.miscompiles_caught}",
-            f"differential runs identical:   {self.differential_matches}",
+            f"{f.metadata['label'] + ':':<31}{getattr(self, f.name)}"
+            for f in fields(self)
+            if "label" in f.metadata
         ]
         if self.failures:
             lines.append(f"FAILURES ({len(self.failures)}):")
@@ -343,9 +310,12 @@ def _check_pipeline(report: SelfCheckReport) -> None:
 
 
 def _check_ownership(report: SelfCheckReport) -> None:
-    from repro.analysis.ownership import analyze_ownership
-    from repro.analysis.ownership import models
-    from repro.sil.frontend import lower_function
+    from repro.analysis.ownership.annotate import (
+        analyze_ownership,
+        analyze_ownership_model,
+        tally,
+    )
+    from repro.analysis.ownership.models import CORPUS
 
     # Every primitive wrapper must be ownership-clean (no formal accesses,
     # hence no possible violations — the zero-false-positive baseline).
@@ -361,117 +331,20 @@ def _check_ownership(report: SelfCheckReport) -> None:
                 f"ownership over primitive {name!r}: spurious violation"
             )
 
-    # Clean corpus: optimizer update loops and well-scoped borrows.  The
-    # optimizer loops additionally must be *all in-place* — the statically
-    # proven half of the zero-copy parameter-update claim (Section 4.3).
-    for pyfunc in models.CLEAN_SUITE:
+    # The corpus, held to the verdicts ``--ownership all`` holds it to.
+    for model in CORPUS.lookup("all"):
         try:
-            ownership = analyze_ownership(lower_function(pyfunc))
+            problems = tally(model, analyze_ownership_model(model), report)
         except ReproError as exc:
-            report.failures.append(f"ownership over {pyfunc.__name__!r}: {exc}")
-            continue
-        report.ownership_functions_checked += 1
-        report.mutation_sites_labeled += ownership.copies.mutation_sites
-        if ownership.diagnostics:
-            report.failures.append(
-                f"ownership over {pyfunc.__name__!r}: false positive: "
-                + ownership.diagnostics[0].message
-            )
-        if pyfunc.__name__ in models.OPTIMIZER_MODELS and (
-            ownership.copies.must_copy
-            or ownership.copies.may_copy
-            or not ownership.copies.in_place
-        ):
-            report.failures.append(
-                f"ownership over {pyfunc.__name__!r}: update loop not "
-                "proven copy-free"
-            )
-
-    # Seeded violations: the borrow checker must produce each expected
-    # verdict (error = certain trap, warning = dynamic check required).
-    for pyfunc, expected in models.VIOLATION_SUITE:
-        try:
-            ownership = analyze_ownership(lower_function(pyfunc))
-        except ReproError as exc:
-            report.failures.append(f"ownership over {pyfunc.__name__!r}: {exc}")
-            continue
-        report.ownership_functions_checked += 1
-        severities = {
-            "error" if d.is_error else "warning" for d in ownership.diagnostics
-        }
-        if expected in severities:
-            report.exclusivity_violations_caught += 1
-        else:
-            report.failures.append(
-                f"ownership over {pyfunc.__name__!r}: expected a(n) "
-                f"{expected} verdict, got {sorted(severities) or ['none']}"
-            )
+            problems = [str(exc)]
+        report.failures.extend(
+            f"ownership over {model.name!r}: {problem}" for problem in problems
+        )
 
 
-def _check_tracing(report: SelfCheckReport) -> None:
+def _check_trace_shapes(report: SelfCheckReport) -> None:
     from repro.analysis.tracing import models as trace_models
-    from repro.analysis.tracing.report import (
-        analyze_trace_program,
-        fingerprint_of_fragment,
-    )
     from repro.analysis.tracing.shapes import infer_trace_shapes
-
-    # Corpus sweep: exact verdicts, exact cache predictions, and — on every
-    # captured fragment pair — agreement between the static canonical key
-    # and the dynamic HLO fingerprint (the equivalence claim itself).
-    for program in trace_models.PROGRAMS.values():
-        try:
-            result = analyze_trace_program(program)
-        except ReproError as exc:
-            report.failures.append(f"trace program {program.name!r}: {exc}")
-            continue
-        report.trace_programs_checked += 1
-
-        verdicts = result.verdicts()
-        if verdicts != {program.expect}:
-            report.failures.append(
-                f"trace program {program.name!r}: expected verdict "
-                f"{program.expect!r}, got {sorted(verdicts)}"
-            )
-        elif program.expect != "clean":
-            report.trace_hazards_caught += 1
-
-        if program.expect == "clean" and any(
-            d.is_error for d in result.diagnostics
-        ):
-            report.failures.append(
-                f"trace program {program.name!r}: false positive: "
-                + next(d for d in result.diagnostics if d.is_error).message
-            )
-
-        if result.cross_check_ok:
-            report.trace_predictions_matched += 1
-        else:
-            report.failures.append(
-                f"trace program {program.name!r}: static cache prediction "
-                f"(compiles={result.predicted_compiles}, "
-                f"hits={result.predicted_cache_hits}) diverges from the "
-                f"runtime (compiles={result.dynamic_compiles}, "
-                f"hits={result.dynamic_cache_hits})"
-            )
-
-        analyzed = result.stability.fragments
-        records = result.capture.fragments
-        fingerprints = [fingerprint_of_fragment(r.fragment) for r in records]
-        for i in range(len(records)):
-            for j in range(i + 1, len(records)):
-                static_eq = analyzed[i].canonical.key == analyzed[j].canonical.key
-                dynamic_eq = fingerprints[i] == fingerprints[j]
-                if static_eq != dynamic_eq:
-                    report.failures.append(
-                        f"trace program {program.name!r}: canonical keys of "
-                        f"fragments {i} and {j} "
-                        f"{'agree' if static_eq else 'differ'} but their HLO "
-                        f"fingerprints "
-                        f"{'agree' if dynamic_eq else 'differ'}"
-                    )
-                else:
-                    report.trace_fragments_cross_validated += 1
 
     # Malformed hand-built traces must be rejected before lowering.
     for name, builder, needle in trace_models.MALFORMED_TRACES:
@@ -509,10 +382,8 @@ def _check_tracing(report: SelfCheckReport) -> None:
         )
 
 
-def _check_derivatives(report: SelfCheckReport) -> None:
+def _check_derivative_rules(report: SelfCheckReport) -> None:
     from repro.analysis.derivatives.linearity import check_primitive_linearity
-    from repro.analysis.derivatives.models import MODELS
-    from repro.analysis.derivatives.report import analyze_derivative_model
     from repro.analysis.derivatives.transpose import check_primitive_transpose
 
     # Registry sweep: every registered pullback must be a provably linear
@@ -552,61 +423,6 @@ def _check_derivatives(report: SelfCheckReport) -> None:
                 f"primitive {name!r}: transpose verdict {pair.verdict!r} "
                 "disagrees with the inner-product probe"
             )
-
-    # Corpus sweep: exact verdicts.  Clean models must carry zero error
-    # diagnostics (the zero-false-positive baseline) and match finite
-    # differences; every seeded hazard must be caught with a *located*
-    # diagnostic; every pruning measurement must leave gradients
-    # bit-identical.
-    for model in MODELS.values():
-        try:
-            result = analyze_derivative_model(model)
-        except ReproError as exc:
-            report.failures.append(f"derivative model {model.name!r}: {exc}")
-            continue
-        report.derivative_models_checked += 1
-
-        verdicts = result.verdicts()
-        if model.expect not in verdicts:
-            report.failures.append(
-                f"derivative model {model.name!r}: expected verdict "
-                f"{model.expect!r}, got {sorted(verdicts)}"
-            )
-        elif model.expect != "clean":
-            located = [
-                d for d in result.diagnostics() if d.location.line > 0
-            ]
-            if located:
-                report.derivative_hazards_caught += 1
-            else:
-                report.failures.append(
-                    f"derivative model {model.name!r}: hazard caught but "
-                    "no diagnostic carries a source location"
-                )
-
-        if model.expect == "clean" and any(
-            d.is_error for d in result.diagnostics()
-        ):
-            report.failures.append(
-                f"derivative model {model.name!r}: false positive: "
-                + next(
-                    d for d in result.diagnostics() if d.is_error
-                ).message
-            )
-
-        if not result.cross_check_ok:
-            report.failures.append(
-                f"derivative model {model.name!r}: static verdicts "
-                "disagree with the numeric probes"
-            )
-
-        if result.pruning is not None:
-            if not result.pruning.gradients_identical:
-                report.failures.append(
-                    f"derivative model {model.name!r}: prune_captures "
-                    "changed the gradient"
-                )
-            report.pullback_captures_pruned += result.pruning.entries_saved
 
 
 def _check_concurrency(report: SelfCheckReport) -> None:
@@ -680,225 +496,57 @@ def _check_concurrency(report: SelfCheckReport) -> None:
                 report.merges_verified += len(result.model.merges)
 
 
-def _check_memory(report: SelfCheckReport) -> None:
-    from repro.analysis.memory import CORPUS, analyze_memory_program
+def _bump(report: SelfCheckReport, counter: str) -> None:
+    setattr(report, counter, getattr(report, counter) + 1)
 
-    # Corpus sweep: exact verdicts, sound (and exact where promised) peak
-    # bounds, validated buffer plans.  Clean programs must carry zero
-    # error diagnostics; every seeded hazard must be caught with a
-    # *located* diagnostic.
-    for program in CORPUS:
+
+def _check_sweep(row, report: SelfCheckReport) -> None:
+    """Walk one ``SUBSYSTEMS`` row's corpus: every program must analyze,
+    and its report must have no :meth:`~repro.analysis.corpus.Report.problems`
+    — the judgment ``--X all`` applies.  Only a passing report's evidence
+    is tallied."""
+    kind = row.corpus.kind
+    for program in row.corpus:
         try:
-            result = analyze_memory_program(program)
-        except ReproError as exc:  # pragma: no cover
-            report.failures.append(f"memory program {program.name!r}: {exc}")
+            result = row.analyze(program)
+        except ReproError as exc:
+            report.failures.append(f"{kind} {program.name!r}: {exc}")
             continue
-        report.memory_programs_checked += 1
-
-        verdicts = result.verdicts()
-        if verdicts != {program.expect}:
-            report.failures.append(
-                f"memory program {program.name!r}: expected verdict "
-                f"{program.expect!r}, got {sorted(verdicts)}"
-            )
-        elif program.expect != "clean":
-            located = [
-                d
-                for c in result.checks
-                for d in c.diagnostics
-                if d.is_error and d.location.line > 0
-            ]
-            if located:
-                report.memory_hazards_caught += 1
-            else:
-                report.failures.append(
-                    f"memory program {program.name!r}: hazard caught but "
-                    "no diagnostic carries a source location"
-                )
-
-        if program.expect == "clean" and any(
-            d.is_error for d in result.diagnostics()
-        ):
-            report.failures.append(
-                f"memory program {program.name!r}: false positive: "
-                + next(d for d in result.diagnostics() if d.is_error).message
-            )
-
-        if not result.cross_check_ok:
-            divergent = [
-                f"trace {c.trace_key}: certified "
-                f"{c.certificate.certified_peak_bytes} vs observed "
-                f"{c.observed_peak_bytes}"
-                for c in result.checks
-                if not c.sound or (c.liveness.straight_line and not c.exact)
-            ]
-            report.failures.append(
-                f"memory program {program.name!r}: certified peak bound "
-                "diverges from the dynamic tracker ("
-                + ("; ".join(divergent) or "straight-line mismatch")
-                + ")"
+        if row.checked is not None:
+            _bump(report, row.checked)
+        problems = result.problems()
+        if problems:
+            report.failures.extend(
+                f"{kind} {program.name!r}: {problem} "
+                f"(see `{row.flag} {program.name}`)"
+                for problem in problems
             )
             continue
-
-        for check in result.checks:
-            report.peak_bounds_certified += 1
-            if check.liveness.straight_line:
-                report.exact_peak_matches += 1
-            report.buffers_reused += check.plan.buffers_reused
-
-
-def _check_precision(report: SelfCheckReport) -> None:
-    from repro.analysis.precision import CORPUS, analyze_precision_program
-
-    # Corpus sweep: verdicts under the naive narrow-everything lowering
-    # (clean programs with zero error diagnostics, hazards with *located*
-    # diagnostics), certified ⊇ observed on every oracle run, every
-    # statically predicted hazard manifesting dynamically, every autocast
-    # plan re-checking clean and running accurately — and, across the
-    # corpus, at least one trace whose certified peak shrinks.
-    best_saved = 0
-    for program in CORPUS:
-        try:
-            result = analyze_precision_program(program)
-        except ReproError as exc:  # pragma: no cover
-            report.failures.append(f"precision program {program.name!r}: {exc}")
-            continue
-        report.precision_programs_checked += 1
-
-        if not result.verdict_matches:
-            report.failures.append(
-                f"precision program {program.name!r}: expected verdict "
-                f"{program.expect!r}, got {sorted(result.verdicts())}"
-            )
-        elif program.expect != "clean":
-            located = [
-                d
-                for d in result.diagnostics()
-                if d.is_error and d.location.line > 0
-            ]
-            if located:
-                report.precision_hazards_caught += 1
-            else:
-                report.failures.append(
-                    f"precision program {program.name!r}: hazard caught "
-                    "but no diagnostic carries a source location"
-                )
-
-        if program.expect == "clean" and any(
-            d.is_error for d in result.diagnostics()
-        ):
-            report.failures.append(
-                f"precision program {program.name!r}: false positive: "
-                + next(d for d in result.diagnostics() if d.is_error).message
-            )
-
-        if not result.cross_check_ok:
-            divergent = [
-                failure
-                for c in result.checks
-                for failure in c.containment_failures
-            ] + [
-                f"trace {c.trace_key}: "
-                + (
-                    "hazard does not manifest"
-                    if not c.manifestation_agrees
-                    else "planned lowering not clean"
-                )
-                for c in result.checks
-                if not c.manifestation_agrees or not c.planned_ok
-            ]
-            report.failures.append(
-                f"precision program {program.name!r}: static verdicts "
-                "diverge from the dynamic oracle ("
-                + ("; ".join(divergent) or "no traces captured")
-                + ")"
-            )
-            continue
-
-        for check in result.checks:
-            report.intervals_contained += 1
-            report.autocast_plans_verified += 1
-        best_saved = max(best_saved, result.bytes_saved)
-        report.narrow_peak_bytes_saved += max(result.bytes_saved, 0)
-
-    if report.precision_programs_checked and best_saved <= 0:
-        report.failures.append(
-            "precision sweep: no corpus trace's certified peak shrank "
-            "under the autocast plan — narrowing must be visible in bytes"
-        )
-
-
-def _check_equivalence(report: SelfCheckReport) -> None:
-    from repro.analysis.equivalence import CORPUS, analyze_equivalence_program
-    from repro.errors import ReproError
-
-    # Corpus sweep: every clean program certifies every unique trace with
-    # zero error diagnostics (no false positives) and passes the dynamic
-    # differential check bit for bit; every seeded miscompile's baseline
-    # certifies while the transformed source is rejected with a *located*
-    # diagnostic carrying exactly its expected verdict.
-    for program in CORPUS:
-        try:
-            result = analyze_equivalence_program(program)
-        except ReproError as exc:  # pragma: no cover
-            report.failures.append(f"equivalence program {program.name!r}: {exc}")
-            continue
-
-        verdicts = result.verdicts()
-        if verdicts != {program.expect}:
-            report.failures.append(
-                f"equivalence program {program.name!r}: expected verdict "
-                f"{program.expect!r}, got {sorted(verdicts)}"
-            )
-            continue
-
-        if program.expect == "clean":
-            if any(d.is_error for d in result.diagnostics()):
-                report.failures.append(
-                    f"equivalence program {program.name!r}: false positive: "
-                    + next(d for d in result.diagnostics() if d.is_error).message
-                )
-                continue
-            for check in result.checks:
-                if check.result.certified:
-                    report.codegen_modules_certified += 1
-                    report.codegen_values_checked += check.result.checked_values
-                if check.bit_identical:
-                    report.differential_matches += 1
-        else:
-            located = [
-                c
-                for c in result.checks
-                if not c.result.certified and c.located
-            ]
-            if located:
-                report.miscompiles_caught += 1
-            else:
-                report.failures.append(
-                    f"equivalence program {program.name!r}: miscompile "
-                    "rejected but no diagnostic carries a source location"
-                )
-
-        if not result.cross_check_ok:
-            report.failures.append(
-                f"equivalence program {program.name!r}: static certificate "
-                "diverges from the dynamic differential check"
-            )
+        if program.expect != "clean":
+            _bump(report, row.caught)
+        row.tally(result, report)
 
 
 def self_check(verbose: bool = False) -> SelfCheckReport:
     """Run all sweeps; the report's ``ok`` says whether everything held."""
+    from repro.analysis.__main__ import SUBSYSTEMS
+
     report = SelfCheckReport()
     _check_primitives(report)
     _check_hlo(report)
     _check_pipeline(report)
     _check_ownership(report)
-    _check_tracing(report)
-    _check_derivatives(report)
+    _check_trace_shapes(report)
+    _check_derivative_rules(report)
     _check_concurrency(report)
-    _check_memory(report)
-    _check_precision(report)
-    _check_equivalence(report)
+    for row in SUBSYSTEMS:
+        if row.analyze is not None:
+            _check_sweep(row, report)
+    if report.precision_programs_checked and not report.narrow_peak_bytes_saved:
+        report.failures.append(
+            "precision sweep: no corpus trace's certified peak shrank "
+            "under the autocast plan — narrowing must be visible in bytes"
+        )
     if verbose:  # pragma: no cover
         print(report.summary())
     return report

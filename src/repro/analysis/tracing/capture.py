@@ -261,3 +261,28 @@ def capture_step_traces(
     capture.dynamic_new_cache_entries = cache_size() - entries_before
     capture.dynamic_auto_cuts = runtime.auto_cuts - auto_cuts_before
     return capture
+
+
+def unique_traces(program, keep_source_data: bool = False) -> list[tuple]:
+    """Run a corpus :class:`~repro.analysis.corpus.StepProgram` and lower
+    each distinct trace it cut, once.
+
+    Returns ``(key, module, param_nodes)`` per unique canonical trace, in
+    cut order: ``key`` is the canonical digest the runtime's per-trace
+    oracles are keyed by, ``module`` the unoptimized HLO lowering, and
+    ``param_nodes`` its parameters' source nodes (carrying the captured
+    arrays under ``keep_source_data``).
+    """
+    from repro.analysis.tracing.canonical import canonicalize
+    from repro.tensor.lazy_backend import _lower_to_hlo
+
+    device, step_fn = program.build()
+    capture = capture_step_traces(
+        step_fn, program.steps, device, keep_source_data=keep_source_data
+    )
+    traces: dict[str, tuple] = {}
+    for record in capture.fragments:
+        key = canonicalize(record.fragment.roots).digest
+        if key not in traces:
+            traces[key] = (key, *_lower_to_hlo(record.fragment.to_trace_nodes()))
+    return list(traces.values())

@@ -15,27 +15,18 @@ pre-lowering shape checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
+from repro.analysis.corpus import Corpus, StepProgram
 from repro.nn.losses import softmax_cross_entropy
 from repro.tensor import LazyTensorBarrier, Tensor, lazy_device
 from repro.tensor.lazy_backend import TraceNode
 
 
-@dataclass(frozen=True)
-class TraceProgram:
-    """One corpus entry: a step program plus the expected verdict."""
-
-    name: str
-    description: str
-    #: "clean" | "volatile-constant" | "unbounded-growth" |
-    #: "auto-cut-reliance" | "structural-instability"
-    expect: str
-    steps: int
-    build: Callable[[], tuple]
+class TraceProgram(StepProgram):
+    """A step program expecting ``"clean"``, ``"volatile-constant"``,
+    ``"unbounded-growth"``, ``"auto-cut-reliance"`` or
+    ``"structural-instability"``."""
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +235,8 @@ HAZARD_PROGRAMS = [
     ),
 ]
 
-PROGRAMS = {p.name: p for p in CLEAN_PROGRAMS + HAZARD_PROGRAMS}
+CORPUS = Corpus("trace program", *CLEAN_PROGRAMS, *HAZARD_PROGRAMS)
+PROGRAMS = CORPUS.by_name
 
 
 # ---------------------------------------------------------------------------

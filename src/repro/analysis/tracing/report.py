@@ -19,16 +19,18 @@ discipline the ownership checker applies to ``CowStats``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.errors import Diagnostic
 
+from repro.analysis.corpus import Report
 from repro.analysis.tracing.capture import (
     Fragment,
     StepTraceCapture,
     capture_step_traces,
 )
 from repro.analysis.tracing.growth import GrowthReport, analyze_growth
-from repro.analysis.tracing.models import TraceProgram
+from repro.analysis.tracing.models import CORPUS, TraceProgram  # noqa: F401  (CORPUS: a Sweep hook)
 from repro.analysis.tracing.shapes import infer_trace_shapes
 from repro.analysis.tracing.stability import StabilityReport, analyze_stability
 
@@ -45,7 +47,7 @@ def fingerprint_of_fragment(fragment: Fragment) -> str:
 
 
 @dataclass
-class TraceStabilityReport:
+class TraceStabilityReport(Report):
     """Everything proven (and observed) about one step program."""
 
     program: str
@@ -53,6 +55,12 @@ class TraceStabilityReport:
     stability: StabilityReport
     growth: GrowthReport
     shape_diagnostics: list[Diagnostic] = field(default_factory=list)
+    #: The corpus verdict this program must get (``None``: not a corpus entry).
+    expect: Optional[str] = None
+
+    @property
+    def name(self) -> str:
+        return self.program
 
     # -- static predictions vs dynamic observation ---------------------------
 
@@ -111,6 +119,21 @@ class TraceStabilityReport:
             found.add("malformed-trace")
         return found or {"clean"}
 
+    def located_errors(self) -> list[Diagnostic]:
+        """Trace diagnostics point at a fragment slot of ``<trace>`` (slot
+        0 included) rather than a source line, and ``auto-cut-reliance``
+        is warning-severity by design: everything but a note counts."""
+        return [d for d in self.diagnostics if d.severity != "note"]
+
+    def json_details(self) -> dict:
+        return {
+            "predicted_compiles": self.predicted_compiles,
+            "dynamic_compiles": self.dynamic_compiles,
+            "predicted_cache_hits": self.predicted_cache_hits,
+            "dynamic_cache_hits": self.dynamic_cache_hits,
+            **super().json_details(),
+        }
+
     def render(self) -> str:
         check = "MATCH" if self.cross_check_ok else "MISMATCH"
         lines = [
@@ -141,6 +164,7 @@ def analyze_step_program(
     device,
     name: str = "<program>",
     isolate_cache: bool = True,
+    expect: Optional[str] = None,
 ) -> TraceStabilityReport:
     """Capture ``steps`` iterations of ``step_fn`` on ``device`` and run
     the full static analysis over the recorded fragments."""
@@ -156,6 +180,7 @@ def analyze_step_program(
         stability=analyze_stability(capture),
         growth=analyze_growth(capture),
         shape_diagnostics=shape_diagnostics,
+        expect=expect,
     )
 
 
@@ -163,5 +188,32 @@ def analyze_trace_program(program: TraceProgram) -> TraceStabilityReport:
     """Build and analyze one corpus entry."""
     device, step_fn = program.build()
     return analyze_step_program(
-        step_fn, program.steps, device, name=program.name
+        step_fn, program.steps, device, name=program.name, expect=program.expect
     )
+
+
+# -- hooks the shared sweep loops read (see repro.analysis.corpus.Sweep) ----
+
+analyze = analyze_trace_program
+
+
+def tally(report: TraceStabilityReport, counters) -> None:
+    """Sweep 5's evidence: the exact cache prediction, plus — on every
+    captured fragment pair — agreement between the static canonical key
+    and the dynamic HLO fingerprint (the equivalence claim itself)."""
+    counters.trace_predictions_matched += 1
+    keys = [f.canonical.key for f in report.stability.fragments]
+    prints = [fingerprint_of_fragment(r.fragment) for r in report.capture.fragments]
+    for i in range(len(keys)):
+        for j in range(i + 1, len(keys)):
+            static_eq = keys[i] == keys[j]
+            dynamic_eq = prints[i] == prints[j]
+            if static_eq == dynamic_eq:
+                counters.trace_fragments_cross_validated += 1
+            else:
+                counters.failures.append(
+                    f"trace program {report.program!r}: canonical keys of "
+                    f"fragments {i} and {j} "
+                    f"{'agree' if static_eq else 'differ'} but their HLO "
+                    f"fingerprints {'agree' if dynamic_eq else 'differ'}"
+                )

@@ -5,6 +5,8 @@ and f32 accumulator attributes, and buffer-annotated printing.  The
 equivalence corpus additionally pins codegen determinism: one canonical
 key, one emitted source."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,32 +20,18 @@ from repro.analysis.precision.intervals import Interval
 from repro.analysis.precision.ranges import analyze_ranges
 from repro.analysis.equivalence.models import CORPUS as EQUIVALENCE_CORPUS
 from repro.analysis.memory.models import CORPUS as MEMORY_CORPUS
-from repro.analysis.tracing.models import PROGRAMS as TRACE_PROGRAMS
+from repro.analysis.tracing.capture import unique_traces
+from repro.analysis.tracing.models import CORPUS as TRACE_CORPUS
 from repro.hlo import parse_module, print_module, verify_module
 
 
 def _lowered_modules(program):
     """Every unique HLO module a corpus program's capture lowers to."""
-    from repro.analysis.tracing.canonical import canonicalize
-    from repro.analysis.tracing.capture import capture_step_traces
-    from repro.tensor.lazy_backend import _lower_to_hlo
-
-    device, step_fn = program.build()
-    capture = capture_step_traces(
-        step_fn,
-        steps=min(program.steps, 2),
-        device=device,
-        keep_source_data=True,
-    )
-    modules = []
-    seen = set()
-    for record in capture.fragments:
-        key = canonicalize(record.fragment.roots).digest
-        if key in seen:
-            continue
-        seen.add(key)
-        modules.append(_lower_to_hlo(record.fragment.to_trace_nodes()))
-    return modules
+    program = dataclasses.replace(program, steps=min(program.steps, 2))
+    return [
+        (module, params)
+        for _key, module, params in unique_traces(program, keep_source_data=True)
+    ]
 
 
 def _assert_round_trip(module):
@@ -53,9 +41,7 @@ def _assert_round_trip(module):
     verify_module(reparsed)
 
 
-@pytest.mark.parametrize(
-    "program", list(TRACE_PROGRAMS.values()), ids=lambda p: p.name
-)
+@pytest.mark.parametrize("program", TRACE_CORPUS, ids=lambda p: p.name)
 def test_trace_corpus_round_trips(program):
     # Programs without explicit barriers (unrolled_no_barrier,
     # auto_cut_reliance) may capture no fragments in two steps — the

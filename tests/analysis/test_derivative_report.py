@@ -17,7 +17,7 @@ class TestCorpusVerdicts:
         assert report.verdicts() == {"clean"}
         assert report.cross_check_ok
         assert report.fd_match is True
-        assert not any(d.is_error for d in report.diagnostics())
+        assert not any(d.is_error for d in report.diagnostics)
 
     @pytest.mark.parametrize("model", HAZARD_MODELS, ids=lambda m: m.name)
     def test_hazards_caught_with_expected_verdict(self, model):
@@ -25,7 +25,7 @@ class TestCorpusVerdicts:
         assert model.expect in report.verdicts()
         assert report.cross_check_ok
         # Every hazard comes with at least one located diagnostic.
-        assert any(d.location.line > 0 for d in report.diagnostics())
+        assert any(d.location.line > 0 for d in report.diagnostics)
 
     def test_each_hazard_maps_to_exactly_one_verdict_class(self):
         for model in HAZARD_MODELS:

@@ -6,10 +6,8 @@ verdict mapping follow the other analysis reports."""
 import numpy as np
 import pytest
 
-from repro.analysis.equivalence import (
-    CORPUS,
-    analyze_equivalence_model,
-)
+from repro.analysis.corpus import UnknownProgram
+from repro.analysis.equivalence import CORPUS, analyze_equivalence_program
 from repro.analysis.equivalence.report import _bit_identical
 
 CLEAN = [p for p in CORPUS if p.expect == "clean"]
@@ -29,11 +27,11 @@ def test_corpus_covers_every_miscompile_class():
 
 @pytest.mark.parametrize("program", CLEAN, ids=lambda p: p.name)
 def test_clean_program_certifies_with_zero_false_positives(program):
-    report = analyze_equivalence_model(program.name)
+    report = analyze_equivalence_program(program)
     assert report.verdicts() == {"clean"}
     assert report.cross_check_ok
     assert report.certified_fraction == 1.0
-    assert not [d for d in report.diagnostics() if d.is_error]
+    assert not [d for d in report.diagnostics if d.is_error]
     for check in report.checks:
         assert check.result.certified
         assert check.bit_identical is True  # interpreted ≡ codegen'd, bitwise
@@ -42,7 +40,7 @@ def test_clean_program_certifies_with_zero_false_positives(program):
 
 @pytest.mark.parametrize("program", MISCOMPILED, ids=lambda p: p.name)
 def test_miscompiled_program_is_caught_and_located(program):
-    report = analyze_equivalence_model(program.name)
+    report = analyze_equivalence_program(program)
     assert report.verdicts() == {program.expect}
     assert report.cross_check_ok
     caught = [
@@ -59,15 +57,16 @@ def test_miscompiled_program_is_caught_and_located(program):
 
 
 def test_report_renders_one_line_per_trace():
-    report = analyze_equivalence_model(CLEAN[0].name)
+    [program] = CORPUS.lookup(CLEAN[0].name)
+    report = analyze_equivalence_program(program)
     text = report.render()
     assert CLEAN[0].name in text
     assert len(report.checks) >= 1
 
 
 def test_unknown_model_name_raises():
-    with pytest.raises(KeyError):
-        analyze_equivalence_model("no_such_program")
+    with pytest.raises(UnknownProgram, match="unknown equivalence program"):
+        CORPUS.lookup("no_such_program")
 
 
 def test_bit_identical_requires_exact_dtype_shape_and_bytes():

@@ -5,13 +5,18 @@ the memory_plan experiment table."""
 import pytest
 
 from repro.analysis.__main__ import main
+from repro.analysis.corpus import UnknownProgram
 from repro.analysis.memory import (
     CORPUS,
-    analyze_memory_model,
+    analyze_memory_program,
     buffer_annotations,
-    get_program,
 )
 from repro.hlo.printer import print_module
+
+
+def _report(name):
+    [program] = CORPUS.lookup(name)
+    return analyze_memory_program(program)
 
 
 def test_corpus_covers_every_verdict():
@@ -22,7 +27,7 @@ def test_corpus_covers_every_verdict():
 
 
 def test_mlp_chain_reuse_is_exact_with_pool_of_two():
-    report = analyze_memory_model("mlp_chain_reuse")
+    report = _report("mlp_chain_reuse")
     assert report.verdicts() == {"clean"}
     assert report.cross_check_ok
     [check] = report.checks
@@ -39,7 +44,7 @@ def test_mlp_chain_reuse_is_exact_with_pool_of_two():
 
 
 def test_reshape_pipeline_bound_is_sound_not_exact():
-    report = analyze_memory_model("reshape_pipeline")
+    report = _report("reshape_pipeline")
     assert report.verdicts() == {"clean"}
     assert report.cross_check_ok
     [check] = report.checks
@@ -52,7 +57,7 @@ def test_reshape_pipeline_bound_is_sound_not_exact():
 
 
 def test_over_budget_program_gets_fixits_and_remat():
-    report = analyze_memory_model("held_activation_over_budget")
+    report = _report("held_activation_over_budget")
     assert report.verdicts() == {"over-budget"}
     assert report.cross_check_ok  # the *bound* still holds; budget failed
     [check] = report.checks
@@ -74,18 +79,18 @@ def test_corrupted_plans_are_caught_with_located_errors():
         ("unsafe_inplace_plan", "unsafe-in-place", "non-elementwise op"),
         ("tuple_alias_plan", "tuple-aliasing", "output tuple still aliases"),
     ):
-        report = analyze_memory_model(name)
+        report = _report(name)
         assert report.verdicts() == {verdict}, name
         assert report.cross_check_ok, name
-        errors = [d for d in report.diagnostics() if d.is_error]
+        errors = [d for d in report.diagnostics if d.is_error]
         assert errors, name
         assert any(needle in d.message for d in errors), name
         assert all(d.location.line > 0 for d in errors), name
 
 
 def test_get_program_unknown_name():
-    with pytest.raises(KeyError, match="unknown memory program"):
-        get_program("nonesuch")
+    with pytest.raises(UnknownProgram, match="unknown memory program"):
+        CORPUS.lookup("nonesuch")
 
 
 def test_cli_memory_single_program(capsys):

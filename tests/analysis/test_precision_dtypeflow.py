@@ -1,15 +1,16 @@
 """The dtype-flow checker: one located diagnostic per hazard origin."""
 
-from repro.analysis.precision.dtypeflow import (
-    VERDICT_PREFIXES,
-    check_dtype_flow,
-    verdict_of,
-)
+from repro.analysis.corpus import verdict_of as _verdict_of
+from repro.analysis.precision.dtypeflow import VERDICT_PREFIXES, check_dtype_flow
 from repro.analysis.precision.intervals import Interval
 from repro.analysis.precision.ranges import analyze_ranges
 from repro.errors import Diagnostic, SourceLocation
 from repro.hlo import HloBuilder
 from repro.hlo.ir import F16, F32, Shape
+
+
+def verdict_of(diag):
+    return _verdict_of(diag, VERDICT_PREFIXES)
 
 
 def _check(module, params):

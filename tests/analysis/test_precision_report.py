@@ -8,11 +8,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.__main__ import SUBSYSTEMS, main
-from repro.analysis.precision import (
-    CORPUS,
-    analyze_precision_model,
-    get_program,
-)
+from repro.analysis.corpus import UnknownProgram
+from repro.analysis.precision import CORPUS, analyze_precision_program
 from repro.analysis.precision.report import accuracy_tolerance
 from repro.errors import HloError
 from repro.hlo.dtypes import finfo
@@ -22,7 +19,8 @@ _REPORTS = {}
 
 def _report(name):
     if name not in _REPORTS:
-        _REPORTS[name] = analyze_precision_model(name)
+        [program] = CORPUS.lookup(name)
+        _REPORTS[name] = analyze_precision_program(program)
     return _REPORTS[name]
 
 
@@ -62,7 +60,7 @@ def test_corpus_program_verdict_and_cross_check(program):
 )
 def test_hazards_have_located_diagnostics_that_manifest(program):
     report = _report(program.name)
-    errors = [d for d in report.diagnostics() if d.is_error]
+    errors = [d for d in report.diagnostics if d.is_error]
     assert errors
     assert all(d.location.line > 0 for d in errors)
     assert all(d.location.filename.endswith("models.py") for d in errors)
@@ -82,7 +80,7 @@ def test_hazards_have_located_diagnostics_that_manifest(program):
 def test_clean_programs_have_zero_false_positives(program):
     report = _report(program.name)
     assert report.verdicts() == {"clean"}
-    assert not any(d.is_error for d in report.diagnostics())
+    assert not any(d.is_error for d in report.diagnostics)
     tol = accuracy_tolerance(program.policy)
     for check in report.checks:
         assert not check.naive_error.introduced_nonfinite
@@ -104,8 +102,8 @@ def test_accuracy_tolerance_scales_with_policy():
 
 
 def test_get_program_unknown_name():
-    with pytest.raises(KeyError, match="unknown precision program"):
-        get_program("nonesuch")
+    with pytest.raises(UnknownProgram, match="unknown precision program"):
+        CORPUS.lookup("nonesuch")
 
 
 def test_report_to_json_is_serializable():
@@ -227,10 +225,10 @@ def test_subsystem_sweeps_are_unique_and_ordered():
 
 
 def test_selfcheck_precision_sweep_counters():
-    from repro.analysis.selfcheck import SelfCheckReport, _check_precision
+    from repro.analysis.selfcheck import SelfCheckReport, _check_sweep
 
     report = SelfCheckReport()
-    _check_precision(report)
+    _check_sweep(next(s for s in SUBSYSTEMS if s.flag == "--precision"), report)
     assert report.failures == []
     assert report.precision_programs_checked == len(CORPUS)
     assert report.precision_hazards_caught == 5
