@@ -64,17 +64,6 @@ def _cotangent_flow(prim: Primitive, n_args: int) -> Optional[tuple[bool, ...]]:
     return mask
 
 
-def _edges(term: ir.Terminator):
-    if isinstance(term, ir.BrInst):
-        return [(term.dest, list(term.operands))]
-    if isinstance(term, ir.CondBrInst):
-        return [
-            (term.true_dest, list(term.true_args)),
-            (term.false_dest, list(term.false_args)),
-        ]
-    return []
-
-
 def _flow_operands(inst: ir.Instruction) -> list[ir.Value]:
     """Operands a live result propagates ct-liveness into."""
     from repro.core.activity import _differentiable_operand_ids
@@ -107,7 +96,7 @@ def cotangent_live_values(func: ir.Function) -> set[int]:
     while changed:
         changed = False
         for block in reversed(blocks):
-            for dest, args in _edges(block.terminator):
+            for dest, args in block.terminator.edges():
                 for param, arg in zip(dest.args, args):
                     if param.id in live and arg.id not in live:
                         live.add(arg.id)

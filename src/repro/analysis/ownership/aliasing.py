@@ -159,7 +159,7 @@ def analyze_aliases(func: ir.Function) -> AliasInfo:
         for block in blocks:
             for inst in block.instructions:
                 if inst.is_terminator:
-                    for dest, args in _edges(inst):
+                    for dest, args in inst.edges():
                         for param, arg in zip(dest.args, args):
                             merged = roots.get(param.id, frozenset()) | roots.get(
                                 arg.id, frozenset()
@@ -222,14 +222,3 @@ def _instruction_roots(
     if isinstance(inst, (ir.AccessStoreInst, ir.EndAccessInst)):
         return frozenset()
     return frozenset()
-
-
-def _edges(term: ir.Instruction):
-    if isinstance(term, ir.BrInst):
-        return [(term.dest, list(term.operands))]
-    if isinstance(term, ir.CondBrInst):
-        return [
-            (term.true_dest, list(term.true_args)),
-            (term.false_dest, list(term.false_args)),
-        ]
-    return []

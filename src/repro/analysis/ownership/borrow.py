@@ -110,7 +110,7 @@ def check_exclusivity(
                 open_now.add(inst.results[0].id)
             elif isinstance(inst, ir.EndAccessInst):
                 open_now.discard(inst.token.id)
-        for succ in _successors(block):
+        for succ in block.successors():
             prev = state.get(id(succ))
             new = set(open_now) if prev is None else prev | open_now
             if prev is None or new != prev:
@@ -164,12 +164,3 @@ def _classify(
     if _bases_definitely_alias(held, new) and _keys_definitely_equal(held, new):
         return "error"
     return "warning"
-
-
-def _successors(block: ir.Block) -> list[ir.Block]:
-    term = block.terminator
-    if isinstance(term, ir.BrInst):
-        return [term.dest]
-    if isinstance(term, ir.CondBrInst):
-        return [term.true_dest, term.false_dest]
-    return []

@@ -107,7 +107,7 @@ def infer_copies(func: ir.Function, aliases: Optional[AliasInfo] = None) -> Copy
     while worklist:
         block = worklist.pop()
         out = _transfer_block(block, dict(in_states[id(block)]), aliases, None)
-        for succ in _successors(block):
+        for succ in block.successors():
             prev = in_states.get(id(succ))
             new = dict(out) if prev is None else _join_states(prev, out)
             if prev is None or new != prev:
@@ -227,12 +227,3 @@ def _transfer_store(
             level, partners = _lookup(state, root)
             if level == CERTAINLY_SHARED:
                 state[root] = (MAYBE_SHARED, partners)
-
-
-def _successors(block: ir.Block) -> list[ir.Block]:
-    term = block.terminator
-    if isinstance(term, ir.BrInst):
-        return [term.dest]
-    if isinstance(term, ir.CondBrInst):
-        return [term.true_dest, term.false_dest]
-    return []

@@ -141,20 +141,9 @@ def analyze_activity(func: ir.Function, wrt: tuple[int, ...]) -> ActivityInfo:
     return info
 
 
-def _edges(term: ir.Terminator) -> list[tuple[ir.Block, list[ir.Value]]]:
-    if isinstance(term, ir.BrInst):
-        return [(term.dest, list(term.operands))]
-    if isinstance(term, ir.CondBrInst):
-        return [
-            (term.true_dest, list(term.true_args)),
-            (term.false_dest, list(term.false_args)),
-        ]
-    return []
-
-
 def _propagate_branch_varied(term: ir.Terminator, info: ActivityInfo) -> bool:
     changed = False
-    for dest, args in _edges(term):
+    for dest, args in term.edges():
         for param, arg in zip(dest.args, args):
             if arg.id in info.varied and param.id not in info.varied:
                 info.varied.add(param.id)
@@ -164,7 +153,7 @@ def _propagate_branch_varied(term: ir.Terminator, info: ActivityInfo) -> bool:
 
 def _propagate_branch_useful(term: ir.Terminator, info: ActivityInfo) -> bool:
     changed = False
-    for dest, args in _edges(term):
+    for dest, args in term.edges():
         for param, arg in zip(dest.args, args):
             if param.id in info.useful and arg.id not in info.useful:
                 info.useful.add(arg.id)

@@ -16,6 +16,13 @@ of time: a :class:`VJPPlan` (reverse mode) and/or a :class:`JVPPlan`
   into per-value slots (the mutable-value-semantics formulation: no dense
   zero tangents are ever materialized, cf. Section 4.3).
 
+Neither derivative executes SIL itself.  The forward sweep and the JVP are
+hook sets over the one evaluator, :class:`repro.sil.interp.Evaluator`
+(:class:`_ForwardSweep`, :class:`_TangentSweep`): the walker, the arity
+check, the step budget and the value semantics of every instruction are the
+reference interpreter's, and the hooks add only records and tangents.  Each
+sweep object lives for one call, so plans stay read-only after ``build()``.
+
 Plans are cached per (function, wrt); calling ``gradient`` in a loop never
 re-transforms or re-traces user code.  Tests assert this AOT property.
 """
@@ -30,7 +37,7 @@ from repro.core.cotangents import PartialTuple, normalize_cotangent
 from repro.core.differentiable import ZERO, embed_field_cotangent, tangent_add
 from repro.errors import Diagnostic, DifferentiabilityError, InterpreterError
 from repro.locks import named_rlock
-from repro.sil import ir
+from repro.sil import interp, ir
 from repro.sil.primitives import Primitive
 
 
@@ -313,89 +320,8 @@ class VJPPlan:
         chain of per-block pullback records, consumed by
         :meth:`run_pullback`.
         """
-        func = self.func
-        activity = self.activity
-        if len(args) != len(func.params):
-            raise InterpreterError(
-                f"@{func.name} expects {len(func.params)} args, got {len(args)}"
-            )
-
-        env: dict[int, object] = {}
         records: list[_BlockRecord] = []
-        block = func.entry
-        block_args: Sequence[object] = list(args)
-        record = _BlockRecord(block, None)
-        records.append(record)
-
-        while True:
-            for param, value in zip(block.args, block_args):
-                env[param.id] = value
-
-            for inst in block.body:
-                if isinstance(inst, ir.ConstInst):
-                    env[inst.result.id] = inst.literal
-                    continue
-                if isinstance(inst, ir.ApplyInst):
-                    arg_vals = [env[v.id] for v in inst.args]
-                    rule = self.rules.get(id(inst))
-                    if rule is None:
-                        env[inst.result.id] = _plain_apply(inst, env, arg_vals)
-                    elif rule is _INDIRECT_RULE:
-                        callee = env[inst.callee.id]
-                        result, pb = rule.forward_indirect(callee, arg_vals)
-                        env[inst.result.id] = result
-                        record.entries.append((inst, pb))
-                    else:
-                        result, pb = rule.forward(arg_vals)
-                        env[inst.result.id] = result
-                        record.entries.append((inst, pb))
-                    continue
-                if isinstance(inst, ir.TupleInst):
-                    env[inst.result.id] = tuple(env[v.id] for v in inst.operands)
-                    if activity.is_active(inst) and id(inst) not in self.pruned:
-                        record.entries.append((inst, len(inst.operands)))
-                    continue
-                if isinstance(inst, ir.TupleExtractInst):
-                    operand = env[inst.operands[0].id]
-                    env[inst.result.id] = operand[inst.index]
-                    if activity.is_active(inst) and id(inst) not in self.pruned:
-                        record.entries.append((inst, len(operand)))
-                    continue
-                if isinstance(inst, ir.StructExtractInst):
-                    operand = env[inst.operands[0].id]
-                    env[inst.result.id] = getattr(operand, inst.field)
-                    if activity.is_active(inst) and id(inst) not in self.pruned:
-                        record.entries.append((inst, operand))
-                    continue
-                if isinstance(inst, ir.ACCESS_INSTS):
-                    # Formal access scopes only ever carry inactive data here:
-                    # the differentiability linter rejects stores of active
-                    # values before any plan is built.
-                    from repro.sil import interp
-
-                    interp.bind_results(inst, interp.eval_instruction(inst, env), env)
-                    continue
-                raise InterpreterError(f"cannot execute {inst}")
-
-            term = block.terminator
-            if isinstance(term, ir.ReturnInst):
-                record.entries.append((term, None))
-                return env[term.value.id], records
-            if isinstance(term, ir.BrInst):
-                edge_args = term.operands
-                next_block = term.dest
-            elif isinstance(term, ir.CondBrInst):
-                if env[term.cond.id]:
-                    edge_args, next_block = term.true_args, term.true_dest
-                else:
-                    edge_args, next_block = term.false_args, term.false_dest
-            else:  # pragma: no cover
-                raise InterpreterError(f"unknown terminator {term}")
-
-            block_args = [env[v.id] for v in edge_args]
-            block = next_block
-            record = _BlockRecord(block, edge_args)
-            records.append(record)
+        return _ForwardSweep(self, records).run(self.func, args), records
 
     # -- reverse sweep -------------------------------------------------------
 
@@ -477,21 +403,63 @@ class VJPPlan:
         return analyze_pullback_cost(self.func, self.wrt, style)
 
 
-def _plain_apply(inst: ir.ApplyInst, env, arg_vals):
-    """Execute an inactive apply exactly as the reference interpreter would."""
-    if inst.is_indirect:
-        callee = env[inst.callee.id]
-    else:
-        callee = inst.callee.target
-    if isinstance(callee, Primitive):
-        return callee.fn(*arg_vals)
-    if isinstance(callee, ir.Function):
-        from repro.sil.interp import call_function
+class _ForwardSweep(interp.Evaluator):
+    """The hooks of one :meth:`VJPPlan.execute_forward` call: the reference
+    semantics, plus a :class:`_BlockRecord` per executed block that collects
+    what the reverse sweep needs from that block's active instructions.
 
-        return call_function(callee, arg_vals)
-    if callable(callee):
-        return callee(*arg_vals)
-    raise InterpreterError(f"cannot apply non-callable {callee!r}")
+    Formal access scopes keep the reference hooks: they only ever carry
+    inactive data here, because the differentiability linter rejects stores
+    of active values before any plan is built.
+    """
+
+    def __init__(self, plan: VJPPlan, records: list[_BlockRecord]) -> None:
+        self.rules = plan.rules
+        self.activity = plan.activity
+        self.pruned = plan.pruned
+        self.records = records
+
+    def enter_block(self, block, edge_args) -> None:
+        record = _BlockRecord(block, edge_args)
+        self.records.append(record)
+        self.entries = record.entries
+
+    def ret(self, term, env):
+        self.entries.append((term, None))
+        return super().ret(term, env)
+
+    def apply(self, inst, env):
+        rule = self.rules.get(id(inst))
+        if rule is None:
+            return super().apply(inst, env)
+        args = [env[v.id] for v in inst.operands]
+        if rule is _INDIRECT_RULE:
+            result, pullback = rule.forward_indirect(args.pop(0), args)
+        else:
+            result, pullback = rule.forward(args)
+        self.entries.append((inst, pullback))
+        return result
+
+    def _recorded(self, inst) -> bool:
+        return (
+            self.activity.is_active_value(inst.results[0])
+            and id(inst) not in self.pruned
+        )
+
+    def tuple(self, inst, env):
+        if self._recorded(inst):
+            self.entries.append((inst, len(inst.operands)))
+        return super().tuple(inst, env)
+
+    def tuple_extract(self, inst, env):
+        if self._recorded(inst):
+            self.entries.append((inst, len(env[inst.operands[0].id])))
+        return super().tuple_extract(inst, env)
+
+    def struct_extract(self, inst, env):
+        if self._recorded(inst):
+            self.entries.append((inst, env[inst.operands[0].id]))
+        return super().struct_extract(inst, env)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +491,7 @@ class JVPPlan:
             if not isinstance(inst, ir.ApplyInst) or not self.activity.is_active(inst):
                 continue
             if inst.is_indirect:
-                self.rules[id(inst)] = "indirect"
+                self.rules[id(inst)] = _indirect_jvp
                 continue
             target = inst.callee.target
             if isinstance(target, Primitive):
@@ -537,18 +505,17 @@ class JVPPlan:
                         )
                     )
                 else:
-                    self.rules[id(inst)] = target
+                    self.rules[id(inst)] = target.jvp
             elif isinstance(target, ir.Function):
                 custom = registry.custom_jvp_for(target)
                 if custom is not None:
                     _note_dependency(self.func, target)
-                    self.rules[id(inst)] = ("custom", custom)
+                    self.rules[id(inst)] = custom
                 else:
                     try:
-                        self.rules[id(inst)] = (
-                            "plan",
-                            jvp_plan(target, tuple(range(len(target.params)))),
-                        )
+                        self.rules[id(inst)] = jvp_plan(
+                            target, tuple(range(len(target.params)))
+                        ).execute
                         _note_dependency(self.func, target)
                     except DifferentiabilityError as exc:
                         errors.append(
@@ -569,95 +536,69 @@ class JVPPlan:
 
     def execute(self, args: Sequence[object], tangents: Sequence[object]):
         """Run the derivative: returns ``(value, result_tangent)``."""
-        func = self.func
-        env: dict[int, object] = {}
-        tan: dict[int, object] = {}
-        block = func.entry
-        block_vals: Sequence[object] = list(args)
-        block_tans: Sequence[object] = list(tangents)
+        if len(tangents) != len(args):
+            raise InterpreterError(
+                f"@{self.func.name}: {len(args)} args but {len(tangents)} tangents"
+            )
+        tan = {param.id: t for param, t in zip(self.func.params, tangents)}
+        return _TangentSweep(self.rules, tan).run(self.func, args)
 
-        while True:
-            for param, value, tangent in zip(block.args, block_vals, block_tans):
-                env[param.id] = value
+
+class _TangentSweep(interp.Evaluator):
+    """The hooks of one :meth:`JVPPlan.execute` call: the reference
+    semantics, plus a tangent for every value (absent means ZERO)."""
+
+    def __init__(self, rules: dict[int, Callable], tan: dict[int, object]) -> None:
+        self.rules = rules
+        self.tan = tan
+
+    def enter_block(self, block, edge_args) -> None:
+        if edge_args is not None:
+            tan = self.tan
+            incoming = [tan.get(v.id, ZERO) for v in edge_args]
+            for param, tangent in zip(block.args, incoming):
                 tan[param.id] = tangent
 
-            for inst in block.body:
-                if isinstance(inst, ir.ConstInst):
-                    env[inst.result.id] = inst.literal
-                    tan[inst.result.id] = ZERO
-                    continue
-                if isinstance(inst, ir.ApplyInst):
-                    arg_vals = [env[v.id] for v in inst.args]
-                    rule = self.rules.get(id(inst))
-                    if rule is None:
-                        env[inst.result.id] = _plain_apply(inst, env, arg_vals)
-                        tan[inst.result.id] = ZERO
-                        continue
-                    arg_tans = [tan.get(v.id, ZERO) for v in inst.args]
-                    if rule == "indirect":
-                        callee = env[inst.callee.id]
-                        result, dresult = _indirect_jvp(
-                            callee, arg_vals, arg_tans, tan.get(inst.callee.id, ZERO)
-                        )
-                    elif isinstance(rule, Primitive):
-                        result, dresult = rule.jvp(tuple(arg_vals), tuple(arg_tans))
-                    else:
-                        kind, impl = rule
-                        if kind == "custom":
-                            result, dresult = impl(tuple(arg_vals), tuple(arg_tans))
-                        else:
-                            result, dresult = impl.execute(arg_vals, arg_tans)
-                    env[inst.result.id] = result
-                    tan[inst.result.id] = dresult
-                    continue
-                if isinstance(inst, ir.TupleInst):
-                    env[inst.result.id] = tuple(env[v.id] for v in inst.operands)
-                    tan[inst.result.id] = tuple(
-                        tan.get(v.id, ZERO) for v in inst.operands
-                    )
-                    continue
-                if isinstance(inst, ir.TupleExtractInst):
-                    operand = env[inst.operands[0].id]
-                    env[inst.result.id] = operand[inst.index]
-                    t = tan.get(inst.operands[0].id, ZERO)
-                    tan[inst.result.id] = ZERO if t is ZERO else t[inst.index]
-                    continue
-                if isinstance(inst, ir.StructExtractInst):
-                    operand = env[inst.operands[0].id]
-                    env[inst.result.id] = getattr(operand, inst.field)
-                    t = tan.get(inst.operands[0].id, ZERO)
-                    tan[inst.result.id] = (
-                        ZERO if t is ZERO else getattr(t, inst.field, ZERO)
-                    )
-                    continue
-                if isinstance(inst, ir.ACCESS_INSTS):
-                    # Inactive by construction (see the linter); no tangent.
-                    from repro.sil import interp
+    def ret(self, term, env):
+        return super().ret(term, env), self.tan.get(term.value.id, ZERO)
 
-                    interp.bind_results(inst, interp.eval_instruction(inst, env), env)
-                    for res in inst.results:
-                        tan[res.id] = ZERO
-                    continue
-                raise InterpreterError(f"cannot execute {inst}")
+    def apply(self, inst, env):
+        rule = self.rules.get(id(inst))
+        if rule is None:
+            return super().apply(inst, env)
+        tan = self.tan
+        vals = [env[v.id] for v in inst.operands]
+        tans = [tan.get(v.id, ZERO) for v in inst.operands]
+        if rule is _indirect_jvp:
+            callee, callee_tan = vals.pop(0), tans.pop(0)
+            result, dresult = rule(callee, tuple(vals), tuple(tans), callee_tan)
+        else:
+            result, dresult = rule(tuple(vals), tuple(tans))
+        tan[inst.results[0].id] = dresult
+        return result
 
-            term = block.terminator
-            if isinstance(term, ir.ReturnInst):
-                return env[term.value.id], tan.get(term.value.id, ZERO)
-            if isinstance(term, ir.BrInst):
-                edge_args, block = term.operands, term.dest
-            elif isinstance(term, ir.CondBrInst):
-                if env[term.cond.id]:
-                    edge_args, block = term.true_args, term.true_dest
-                else:
-                    edge_args, block = term.false_args, term.false_dest
-            block_vals = [env[v.id] for v in edge_args]
-            block_tans = [tan.get(v.id, ZERO) for v in edge_args]
+    def tuple(self, inst, env):
+        tan = self.tan
+        tan[inst.results[0].id] = tuple(tan.get(v.id, ZERO) for v in inst.operands)
+        return super().tuple(inst, env)
+
+    def tuple_extract(self, inst, env):
+        t = self.tan.get(inst.operands[0].id, ZERO)
+        self.tan[inst.results[0].id] = ZERO if t is ZERO else t[inst.index]
+        return super().tuple_extract(inst, env)
+
+    def struct_extract(self, inst, env):
+        t = self.tan.get(inst.operands[0].id, ZERO)
+        self.tan[inst.results[0].id] = (
+            ZERO if t is ZERO else getattr(t, inst.field, ZERO)
+        )
+        return super().struct_extract(inst, env)
 
 
 def _indirect_jvp(callee, arg_vals, arg_tans, callee_tan):
     jvp_call = getattr(callee, "__jvp_call__", None)
     if jvp_call is not None:
-        return jvp_call(tuple(arg_vals), tuple(arg_tans), callee_tan)
+        return jvp_call(arg_vals, arg_tans, callee_tan)
     sil_func = getattr(callee, "__sil_function__", None)
     if sil_func is not None:
         plan = jvp_plan(sil_func, tuple(range(len(sil_func.params))))
@@ -667,7 +608,7 @@ def _indirect_jvp(callee, arg_vals, arg_tans, callee_tan):
             raise DifferentiabilityError(
                 [Diagnostic("error", f"primitive {callee.name!r} has no JVP")]
             )
-        return callee.jvp(tuple(arg_vals), tuple(arg_tans))
+        return callee.jvp(arg_vals, arg_tans)
     raise DifferentiabilityError(
         [
             Diagnostic(

@@ -30,6 +30,7 @@ from repro.hlo.compiler import Executable, compile_module
 from repro.hlo.ir import Shape
 from repro.sil import ir
 from repro.sil.frontend import lower_function
+from repro.sil.interp import Evaluator
 from repro.sil.primitives import Primitive
 
 
@@ -104,11 +105,17 @@ def _as_hlo(builder, value):
     raise GraphExtractionError(f"cannot lower {type(value).__name__} to HLO")
 
 
-class _Extractor:
-    """Partially evaluates a SIL function, emitting HLO for tensor ops."""
+class _Extractor(Evaluator):
+    """Partially evaluates a SIL function, emitting HLO for tensor ops: the
+    reference evaluator with an abstract-aware ``apply``, ``struct_extract``
+    and branch-condition read."""
+
+    error = GraphExtractionError
 
     def __init__(self, builder: HloBuilder) -> None:
         self.builder = builder
+        #: Executed-block budget of the whole extraction, callees included.
+        self.blocks_left = 100_000
         b = builder
         self.tensor_rules = {
             "add": _emit_binary(b, "add"),
@@ -225,62 +232,41 @@ class _Extractor:
 
     def evaluate(self, func: ir.Function, args: Sequence[object]):
         """Interpret ``func``; concrete values fold, abstract tensors emit."""
-        env: dict[int, object] = {}
-        block = func.entry
-        block_args = list(args)
-        steps = 0
-        while True:
-            steps += 1
-            if steps > 100_000:
-                raise GraphExtractionError(
-                    "extraction did not terminate (unbounded static loop?)"
-                )
-            for param, value in zip(block.args, block_args):
-                env[param.id] = value
-            for inst in block.body:
-                env[inst.result.id] = self._eval_inst(inst, env)
-            term = block.terminator
-            if isinstance(term, ir.ReturnInst):
-                return env[term.value.id]
-            if isinstance(term, ir.BrInst):
-                block_args = [env[v.id] for v in term.operands]
-                block = term.dest
-                continue
-            cond = env[term.cond.id]
-            if isinstance(cond, AbstractTensor):
-                raise GraphExtractionError(
-                    "control flow depends on a runtime tensor value; "
-                    "ahead-of-time extraction cannot slice it (Section 3.5) "
-                    "— use the LazyTensor device instead"
-                )
-            if cond:
-                block_args = [env[v.id] for v in term.true_args]
-                block = term.true_dest
-            else:
-                block_args = [env[v.id] for v in term.false_args]
-                block = term.false_dest
+        return self.run(func, args)
 
-    def _eval_inst(self, inst: ir.Instruction, env):
-        if isinstance(inst, ir.ConstInst):
-            return inst.literal
-        if isinstance(inst, ir.TupleInst):
-            return tuple(env[v.id] for v in inst.operands)
-        if isinstance(inst, ir.TupleExtractInst):
-            return env[inst.operands[0].id][inst.index]
-        if isinstance(inst, ir.StructExtractInst):
-            owner = env[inst.operands[0].id]
-            if isinstance(owner, AbstractTensor):
-                if inst.field == "shape":
-                    return owner.shape
-                raise GraphExtractionError(
-                    f"attribute {inst.field!r} of a runtime tensor is not static"
-                )
-            return getattr(owner, inst.field)
-        if isinstance(inst, ir.ApplyInst):
-            return self._eval_apply(inst, env)
+    def enter_block(self, block, edge_args) -> None:
+        self.blocks_left -= 1
+        if self.blocks_left < 0:
+            raise GraphExtractionError(
+                "extraction did not terminate (unbounded static loop?)"
+            )
+
+    def cond(self, term, env):
+        cond = super().cond(term, env)
+        if isinstance(cond, AbstractTensor):
+            raise GraphExtractionError(
+                "control flow depends on a runtime tensor value; "
+                "ahead-of-time extraction cannot slice it (Section 3.5) "
+                "— use the LazyTensor device instead"
+            )
+        return cond
+
+    def struct_extract(self, inst, env):
+        owner = env[inst.operands[0].id]
+        if isinstance(owner, AbstractTensor):
+            if inst.field == "shape":
+                return owner.shape
+            raise GraphExtractionError(
+                f"attribute {inst.field!r} of a runtime tensor is not static"
+            )
+        return super().struct_extract(inst, env)
+
+    def _reject(self, inst, env):
         raise GraphExtractionError(f"cannot extract {inst}")
 
-    def _eval_apply(self, inst: ir.ApplyInst, env):
+    begin_access = access_load = access_store = end_access = _reject
+
+    def apply(self, inst: ir.ApplyInst, env):
         args = [env[v.id] for v in inst.args]
         callee = env[inst.callee.id] if inst.is_indirect else inst.callee.target
         has_abstract = any(isinstance(a, AbstractTensor) for a in args)

@@ -114,13 +114,19 @@ def lower_function(pyfunc) -> ir.Function:
         raise LoweringError(f"cannot fetch source of {pyfunc!r}: {exc}") from exc
     tree = ast.parse(source)
     fdef = tree.body[0]
+    name = pyfunc.__qualname__
     if not isinstance(fdef, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        raise LoweringError(f"{pyfunc!r}: expected a function definition")
+        raise _fail(filename, name, fdef, "expected a function definition")
     if isinstance(fdef, ast.AsyncFunctionDef):
-        raise LoweringError(f"{pyfunc.__name__}: async functions are unsupported")
+        raise _fail(filename, name, fdef, "async functions are unsupported")
+    a = fdef.args
+    if a.vararg or a.kwarg or a.kwonlyargs or a.posonlyargs:
+        raise _fail(
+            filename, name, fdef, "only simple positional parameters are supported"
+        )
 
-    params = _parameter_names(fdef, pyfunc)
-    func = ir.Function(pyfunc.__qualname__, params)
+    params = [arg.arg for arg in a.args]
+    func = ir.Function(name, params)
     func.pyfunc = pyfunc
     _LOWERING_CACHE[pyfunc] = func
     try:
@@ -140,13 +146,15 @@ def lowering_cache_size() -> int:
     return len(_LOWERING_CACHE)
 
 
-def _parameter_names(fdef: ast.FunctionDef, pyfunc) -> list[str]:
-    a = fdef.args
-    if a.vararg or a.kwarg or a.kwonlyargs or a.posonlyargs:
-        raise LoweringError(
-            f"{pyfunc.__name__}: only simple positional parameters are supported"
-        )
-    return [arg.arg for arg in a.args]
+def _loc(filename: str, node: ast.AST) -> SourceLocation:
+    return SourceLocation(
+        filename, getattr(node, "lineno", 0), getattr(node, "col_offset", 0)
+    )
+
+
+def _fail(filename: str, name: str, node: ast.AST, message: str) -> LoweringError:
+    """Every rejection of the frontend: ``file:line:col: function: message``."""
+    return LoweringError(f"{_loc(filename, node)}: {name}: {message}")
 
 
 class _LoopContext:
@@ -174,12 +182,10 @@ class Lowerer:
     # -- plumbing ----------------------------------------------------------
 
     def loc(self, node: ast.AST) -> SourceLocation:
-        return SourceLocation(
-            self.filename, getattr(node, "lineno", 0), getattr(node, "col_offset", 0)
-        )
+        return _loc(self.filename, node)
 
     def fail(self, node: ast.AST, message: str) -> LoweringError:
-        return LoweringError(f"{self.loc(node)}: {self.func.name}: {message}")
+        return _fail(self.filename, self.func.name, node, message)
 
     def emit(self, inst: ir.Instruction) -> ir.Value:
         assert self.block is not None
@@ -342,9 +348,9 @@ class Lowerer:
 
         join = self.func.new_block()
         if then_done:
-            self._branch_to_join(else_end, else_vars, join, [else_vars])
+            self._branch_to_join(else_end, else_vars, join)
         elif else_done:
-            self._branch_to_join(then_end, then_vars, join, [then_vars])
+            self._branch_to_join(then_end, then_vars, join)
         else:
             live = [
                 name
@@ -367,7 +373,7 @@ class Lowerer:
             self.vars = merged
         self.block = join
 
-    def _branch_to_join(self, end_block, end_vars, join, var_sources) -> None:
+    def _branch_to_join(self, end_block, end_vars, join) -> None:
         """Single live path into ``join``: pass everything through directly."""
         end_block.append(ir.BrInst(join, []))
         self.vars = dict(end_vars)

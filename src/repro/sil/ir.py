@@ -339,6 +339,12 @@ class Terminator(Instruction):
         super().__init__(operands, 0, ANY, loc)
 
     def successors(self) -> list["Block"]:
+        return [dest for dest, _ in self.edges()]
+
+    def edges(self) -> list[tuple["Block", list[Value]]]:
+        """Outgoing CFG edges as ``(dest, values passed to dest's args)``,
+        in operand order (a ``cond_br``'s true edge first); ``[]`` for
+        ``return``."""
         return []
 
 
@@ -351,8 +357,8 @@ class BrInst(Terminator):
         super().__init__(args, loc)
         self.dest = dest
 
-    def successors(self) -> list["Block"]:
-        return [self.dest]
+    def edges(self) -> list[tuple["Block", list[Value]]]:
+        return [(self.dest, list(self.operands))]
 
     def __repr__(self) -> str:
         args = ", ".join(map(repr, self.operands))
@@ -390,8 +396,11 @@ class CondBrInst(Terminator):
     def false_args(self) -> list[Value]:
         return self.operands[1 + self.n_true :]
 
-    def successors(self) -> list["Block"]:
-        return [self.true_dest, self.false_dest]
+    def edges(self) -> list[tuple["Block", list[Value]]]:
+        return [
+            (self.true_dest, self.true_args),
+            (self.false_dest, self.false_args),
+        ]
 
     def __repr__(self) -> str:
         t = ", ".join(map(repr, self.true_args))

@@ -167,8 +167,8 @@ def typecheck(func: ir.Function) -> list[Diagnostic]:
                             _loc(inst),
                         )
                     )
-            if isinstance(inst, (ir.BrInst, ir.CondBrInst)):
-                for dest, args in _branch_edges(inst):
+            if inst.is_terminator:
+                for dest, args in inst.edges():
                     diagnostics.extend(
                         _check_edge_types(func, block, dest, args, type_of)
                     )
@@ -197,15 +197,6 @@ def verify_typed(func: ir.Function) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # Per-instruction checks.
 # ---------------------------------------------------------------------------
-
-
-def _branch_edges(term):
-    if isinstance(term, ir.BrInst):
-        return [(term.dest, list(term.operands))]
-    return [
-        (term.true_dest, term.true_args),
-        (term.false_dest, term.false_args),
-    ]
 
 
 def _compatible(a: ir.SILType, b: ir.SILType) -> bool:

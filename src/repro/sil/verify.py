@@ -158,15 +158,6 @@ def _check_dominance(func: ir.Function, blocks: list[ir.Block]) -> None:
                 seen_local.add(res.id)
 
 
-def _successors(block: ir.Block) -> list[ir.Block]:
-    term = block.terminator
-    if isinstance(term, ir.BrInst):
-        return [term.dest]
-    if isinstance(term, ir.CondBrInst):
-        return [term.true_dest, term.false_dest]
-    return []
-
-
 def _check_access_scopes(func: ir.Function, blocks: list[ir.Block]) -> None:
     """Verify the bracketing discipline of formal access instructions.
 
@@ -246,7 +237,7 @@ def _check_access_scopes(func: ir.Function, blocks: list[ir.Block]) -> None:
                 f"@{func.name}/{block.name}: access scope(s) {names} still "
                 f"open at return"
             )
-        for succ in _successors(block):
+        for succ in block.successors():
             if id(succ) not in by_id:
                 continue  # unreachable-successor edge; verified elsewhere
             prev = state[id(succ)]

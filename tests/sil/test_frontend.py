@@ -1,6 +1,7 @@
 """Frontend lowering tests: lowered functions must match direct execution."""
 
 import math
+import re
 
 import pytest
 
@@ -351,3 +352,48 @@ def test_implicit_return_none():
 
     func = lower_function(f)
     assert call_function(func, (1.0,)) is None
+
+
+# -- rejections raised before a Lowerer exists are located like the rest --------
+
+_LOCATED = rf"^{re.escape(__file__)}:\d+:\d+: "
+
+
+def test_non_function_definition_error_is_located():
+    not_a_def = lambda x: x + 1.0  # noqa: E731 - the construct under test
+
+    with pytest.raises(
+        LoweringError, match=_LOCATED + r".*<lambda>: expected a function definition$"
+    ):
+        lower_function(not_a_def)
+
+
+def test_async_function_error_is_located():
+    async def f(x):
+        return x
+
+    with pytest.raises(
+        LoweringError, match=_LOCATED + r".*\bf: async functions are unsupported$"
+    ):
+        lower_function(f)
+
+
+@pytest.mark.parametrize("kind", ["vararg", "kwarg", "kwonly", "posonly"])
+def test_non_positional_parameter_error_is_located(kind):
+    def vararg(x, *rest):
+        return x
+
+    def kwarg(x, **rest):
+        return x
+
+    def kwonly(x, *, scale):
+        return x
+
+    def posonly(x, /, y):
+        return x
+
+    with pytest.raises(
+        LoweringError,
+        match=_LOCATED + rf".*\b{kind}: only simple positional parameters are supported$",
+    ):
+        lower_function(locals()[kind])
