@@ -6,8 +6,9 @@ the HLO module fingerprint computed *after* lowering; this module computes
 an equivalent key directly on the :class:`TraceNode` DAG, **before**
 lowering, so cache behavior can be proven statically:
 
-* node identities are alpha-renamed to their position in the exact
-  traversal order :func:`repro.tensor.lazy_backend._lower_to_hlo` uses;
+* node identities are alpha-renamed to their position in
+  :func:`repro.tensor.lazy_backend.fragment_order`, the traversal lowering
+  numbers parameters and instructions by;
 * sources are abstracted to parameters (shape + dtype only — the values a
   tensor holds never affect which executable runs);
 * trace-embedded ``constant`` nodes keep their **values**, because HLO
@@ -25,6 +26,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+from repro.tensor.lazy_backend import fragment_order
 
 
 @dataclass(frozen=True)
@@ -82,28 +85,8 @@ def canonicalize(roots: Sequence) -> CanonicalTrace:
     :class:`~repro.analysis.tracing.capture.SnapNode` roots alike.
     """
     roots = list(roots)
-    # Identical traversal to _lower_to_hlo: per-root iterative post-order
-    # sharing one visited map, sources/constants numbered at first sight.
-    index: dict[int, int] = {}
-    order: list = []
-
-    def visit(root) -> None:
-        stack: list[tuple] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node.id in index:
-                continue
-            if node.is_source or node.op == "constant" or expanded:
-                index[node.id] = len(order)
-                order.append(node)
-                continue
-            stack.append((node, True))
-            for operand in reversed(node.inputs):
-                if operand.id not in index:
-                    stack.append((operand, False))
-
-    for root in roots:
-        visit(root)
+    order = fragment_order(roots)
+    index = {node.id: position for position, node in enumerate(order)}
 
     lines: list[str] = []
     skeleton_lines: list[str] = []

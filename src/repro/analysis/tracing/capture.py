@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.tensor.lazy_backend import TraceNode
+from repro.tensor.lazy_backend import TraceNode, fragment_order
 
 
 class SnapNode:
@@ -69,22 +69,7 @@ class Fragment:
 
     def nodes(self) -> list[SnapNode]:
         """Every node of the fragment, deduplicated, operands first."""
-        order: list[SnapNode] = []
-        seen: set[int] = set()
-        stack: list[tuple[SnapNode, bool]] = [(r, False) for r in reversed(self.roots)]
-        while stack:
-            node, expanded = stack.pop()
-            if node.id in seen:
-                continue
-            if expanded or not node.inputs:
-                seen.add(node.id)
-                order.append(node)
-            else:
-                stack.append((node, True))
-                for operand in reversed(node.inputs):
-                    if operand.id not in seen:
-                        stack.append((operand, False))
-        return order
+        return fragment_order(self.roots)
 
     @property
     def n_ops(self) -> int:
@@ -127,21 +112,10 @@ class Fragment:
 def snapshot_fragment(targets, keep_data: bool = False) -> Fragment:
     """Deep-copy the DAG rooted at ``targets`` into :class:`SnapNode` form."""
     snapped: dict[int, SnapNode] = {}
-    for target in targets:
-        stack: list[tuple] = [(target, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node.id in snapped:
-                continue
-            if expanded or not node.inputs:
-                snapped[node.id] = SnapNode(
-                    node, [snapped[i.id] for i in node.inputs], keep_data
-                )
-            else:
-                stack.append((node, True))
-                for operand in reversed(node.inputs):
-                    if operand.id not in snapped:
-                        stack.append((operand, False))
+    for node in fragment_order(targets):
+        snapped[node.id] = SnapNode(
+            node, [snapped[i.id] for i in node.inputs], keep_data
+        )
     return Fragment([snapped[t.id] for t in targets])
 
 

@@ -4,14 +4,16 @@ The tensor layer stamps a shape onto every :class:`TraceNode` as it
 records, but nothing validates those stamps until the fragment is lowered
 — at which point :mod:`repro.hlo.builder` re-infers shapes and a malformed
 trace fails *inside* HLO compilation, far from the node that caused it.
-This checker re-runs the same :mod:`repro.hlo.shapes` inference rules
-directly over the trace DAG, so malformed traces are rejected **before
-lowering** with diagnostics located at the offending trace node (its
-canonical position doubles as the line number).
+This checker re-runs each node's shape rule — the one its row of
+:mod:`repro.tensor.traceops` recorded it with — directly over the trace
+DAG, so malformed traces are rejected **before lowering** with diagnostics
+located at the offending trace node (its position in
+:func:`~repro.tensor.lazy_backend.fragment_order`, which is its canonical
+position, doubles as the line number).
 
-It also statically rejects ops with no HLO lowering — the ahead-of-time
-version of the ``no HLO lowering for traced op`` error ``_emit`` raises
-at materialization time.
+An op without a row is rejected here too: the ahead-of-time version of
+the ``no HLO lowering for traced op`` error lowering raises at
+materialization time.
 """
 
 from __future__ import annotations
@@ -24,101 +26,12 @@ from repro.errors import (
     SourceLocation,
     TraceError,
 )
-from repro.hlo import shapes as si
-from repro.hlo.ir import Shape
-from repro.tensor.lazy_backend import _BINARY, _UNARY
-
-
-def _infer(node, input_shapes: list[tuple], input_dtypes: list[str]):
-    """Expected ``(dims, dtype)`` of ``node`` per the HLO inference rules."""
-    op = node.op
-    attrs = node.attrs
-    if op in _UNARY:
-        return input_shapes[0], input_dtypes[0]
-    if op in _BINARY:
-        dims = si.broadcast_shapes(Shape(input_shapes[0]), Shape(input_shapes[1]))
-        return dims, "f32"
-    if op == "compare":
-        dims = si.broadcast_shapes(Shape(input_shapes[0]), Shape(input_shapes[1]))
-        return dims, "pred"
-    if op == "select":
-        dims = si.broadcast_shapes(Shape(input_shapes[0]), Shape(input_shapes[1]))
-        dims = si.broadcast_shapes(Shape(dims), Shape(input_shapes[2]))
-        return dims, input_dtypes[1]
-    if op == "matmul":
-        return si.infer_dot(Shape(input_shapes[0]), Shape(input_shapes[1])).dims, "f32"
-    if op == "conv2d":
-        return (
-            si.infer_conv(
-                Shape(input_shapes[0]),
-                Shape(input_shapes[1]),
-                attrs["stride"],
-                attrs["padding"],
-            ).dims,
-            "f32",
-        )
-    if op == "conv2d_grad_input":
-        return tuple(attrs["input_dims"]), "f32"
-    if op == "conv2d_grad_filter":
-        return tuple(attrs["filter_dims"]), "f32"
-    if op == "reduce":
-        return (
-            si.infer_reduce(
-                Shape(input_shapes[0]), attrs["axes"], attrs["keepdims"]
-            ).dims,
-            "f32",
-        )
-    if op == "reshape":
-        return si.infer_reshape(Shape(input_shapes[0]), tuple(attrs["dims"])).dims, "f32"
-    if op == "transpose":
-        return (
-            si.infer_transpose(Shape(input_shapes[0]), tuple(attrs["perm"])).dims,
-            "f32",
-        )
-    if op == "broadcast_to":
-        return (
-            si.infer_broadcast(Shape(input_shapes[0]), tuple(attrs["dims"])).dims,
-            "f32",
-        )
-    if op in ("avg_pool", "max_pool"):
-        return (
-            si.infer_pool(Shape(input_shapes[0]), attrs["pool"], attrs["stride"]).dims,
-            "f32",
-        )
-    if op == "avg_pool_grad":
-        return tuple(attrs["input_dims"]), "f32"
-    if op == "max_pool_grad":
-        return input_shapes[0], "f32"
-    if op == "one_hot":
-        return tuple(input_shapes[0]) + (attrs["depth"],), "f32"
-    if op == "softmax_ce":
-        if input_shapes[0] != input_shapes[1]:
-            raise si.ShapeError(
-                f"softmax_ce logits {input_shapes[0]} and labels "
-                f"{input_shapes[1]} disagree"
-            )
-        return (), "f32"
-    if op == "softmax_ce_grad":
-        return input_shapes[0], "f32"
-    if op == "pad":
-        return si.infer_pad(Shape(input_shapes[0]), attrs["paddings"]).dims, "f32"
-    if op == "slice":
-        return (
-            si.infer_slice(
-                Shape(input_shapes[0]), attrs["starts"], attrs["sizes"]
-            ).dims,
-            "f32",
-        )
-    if op == "concat":
-        return (
-            si.infer_concat([Shape(s) for s in input_shapes], attrs["axis"]).dims,
-            "f32",
-        )
-    raise si.ShapeError(f"no HLO lowering for traced op {op!r}")
+from repro.tensor.lazy_backend import fragment_order
+from repro.tensor.traceops import trace_op
 
 
 def infer_trace_shapes(roots: Sequence) -> list[Diagnostic]:
-    """Validate every node of the fragment against HLO shape inference.
+    """Validate every node of the fragment against its row's shape rule.
 
     Returns the full batch of diagnostics (empty when the trace is
     well-formed).  Never raises; use :func:`check_trace` for the raising
@@ -126,68 +39,45 @@ def infer_trace_shapes(roots: Sequence) -> list[Diagnostic]:
     downstream, so one malformed node yields one diagnostic, not a
     cascade.
     """
-    from repro.analysis.tracing.canonical import canonicalize
-
-    canonical = canonicalize(roots)
-    position_of = {nid: pos for pos, nid in enumerate(canonical.node_ids)}
     diagnostics: list[Diagnostic] = []
-    # Walk in canonical (operands-first) order, re-inferring each op.
-    order: list = []
-    seen: set[int] = set()
-    stack: list[tuple] = [(r, False) for r in reversed(list(roots))]
-    while stack:
-        node, expanded = stack.pop()
-        if node.id in seen:
-            continue
-        if expanded or not node.inputs:
-            seen.add(node.id)
-            order.append(node)
-        else:
-            stack.append((node, True))
-            for operand in reversed(node.inputs):
-                if operand.id not in seen:
-                    stack.append((operand, False))
 
-    def located(severity: str, node, message: str) -> Diagnostic:
-        position = position_of.get(node.id, -1)
-        anchor = f"%{position} = {node.op}"
-        return Diagnostic(
-            severity,
-            f"{anchor}: {message}",
-            SourceLocation("<trace>", position, 0),
+    def reject(position: int, node, message: str) -> None:
+        diagnostics.append(
+            Diagnostic(
+                "error",
+                f"%{position} = {node.op}: {message}",
+                SourceLocation("<trace>", position, 0),
+            )
         )
 
-    for node in order:
+    for position, node in enumerate(fragment_order(list(roots))):
         if node.is_source or node.op == "constant":
             continue
         input_shapes = [tuple(i.shape) for i in node.inputs]
-        input_dtypes = [i.dtype for i in node.inputs]
         try:
-            dims, dtype = _infer(node, input_shapes, input_dtypes)
+            row = trace_op(node.op)
+            dims = tuple(row.infer(input_shapes, node.attrs))
         except (ReproError, KeyError, IndexError, TypeError) as exc:
-            detail = (
-                f"missing attribute {exc}" if isinstance(exc, KeyError) else str(exc)
+            reject(
+                position,
+                node,
+                f"missing attribute {exc}" if isinstance(exc, KeyError) else str(exc),
             )
-            diagnostics.append(located("error", node, detail))
             continue
-        if tuple(dims) != tuple(node.shape):
-            diagnostics.append(
-                located(
-                    "error",
-                    node,
-                    f"recorded shape {tuple(node.shape)} disagrees with "
-                    f"inferred shape {tuple(dims)} "
-                    f"(inputs {', '.join(map(str, input_shapes))})",
-                )
+        if dims != tuple(node.shape):
+            reject(
+                position,
+                node,
+                f"recorded shape {tuple(node.shape)} disagrees with "
+                f"inferred shape {dims} "
+                f"(inputs {', '.join(map(str, input_shapes))})",
             )
-        elif dtype != node.dtype:
-            diagnostics.append(
-                located(
-                    "error",
-                    node,
-                    f"recorded dtype {node.dtype!r} disagrees with "
-                    f"inferred dtype {dtype!r}",
-                )
+        elif row.dtype != node.dtype:
+            reject(
+                position,
+                node,
+                f"recorded dtype {node.dtype!r} disagrees with "
+                f"inferred dtype {row.dtype!r}",
             )
     return diagnostics
 

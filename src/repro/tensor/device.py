@@ -12,6 +12,9 @@ import itertools
 from contextlib import contextmanager
 from typing import Optional
 
+import numpy as np
+
+from repro.hlo.compiler import ASYNC_COMPILER, AsyncCompiler
 from repro.runtime.costmodel import (
     DESKTOP_CPU,
     S4TF_EAGER,
@@ -20,6 +23,39 @@ from repro.runtime.costmodel import (
     EngineProfile,
 )
 from repro.runtime.device import Dispatcher, SimDevice
+from repro.tensor.lazy_backend import LazyRuntime
+from repro.tensor.naive_backend import NaiveBackend
+from repro.tensor.traceops import TRACE_OPS
+
+
+class EagerBackend(Dispatcher):
+    """The eager device's side of ``Device``: each op dispatches the
+    kernel of its table row, operands first, then the row's attributes."""
+
+    def apply(self, op: str, operands: list[np.ndarray], attrs: dict) -> np.ndarray:
+        row = TRACE_OPS[op]
+        kernel, attr_values = row.kernel_call(attrs)
+        result = self.dispatch(kernel, (*operands, *attr_values))
+        return np.ascontiguousarray(result) if row.contiguous else result
+
+    def source(self, data) -> np.ndarray:
+        return np.asarray(data, dtype=np.float32)
+
+    def constant(self, value: float) -> np.ndarray:
+        return self.full((), value)
+
+    def full(self, shape: tuple[int, ...], value: float) -> np.ndarray:
+        return np.full(shape, value, dtype=np.float32)
+
+    def observe(self, array: np.ndarray) -> np.ndarray:
+        """Wait for the queue, then the contents; a ``pred`` result (held
+        as the compare kernel's bool mask) reads as float32 0/1, as it
+        does on the other two backends."""
+        self.sync()
+        return np.asarray(array, dtype=np.float32)
+
+    def trace_stats(self) -> dict:
+        return {}
 
 
 class Device:
@@ -52,11 +88,8 @@ class Device:
         self.engine = engine
         if kind == "eager":
             self.sim = SimDevice(profile or DESKTOP_CPU)
-            self.dispatcher = Dispatcher(self.sim, engine or S4TF_EAGER)
+            self.dispatcher = backend = EagerBackend(self.sim, engine or S4TF_EAGER)
         elif kind == "lazy":
-            from repro.hlo.compiler import ASYNC_COMPILER, AsyncCompiler
-            from repro.tensor.lazy_backend import LazyRuntime
-
             if async_compile is False or async_compile is None:
                 compiler = None
             elif async_compile is True:
@@ -69,7 +102,7 @@ class Device:
                     f"got {async_compile!r}"
                 )
             self.sim = SimDevice(profile or DESKTOP_CPU)
-            self.runtime = LazyRuntime(
+            self.runtime = backend = LazyRuntime(
                 self.sim,
                 engine or S4TF_LAZY,
                 auto_barrier_threshold,
@@ -78,35 +111,32 @@ class Device:
             )
         else:
             self.sim = None
+            backend = NaiveBackend()
+        self._backend = backend
+        #: What Tensor calls, bound once: ``apply(op, operands, attrs)``
+        #: computes or records one traced op; ``source`` / ``constant`` /
+        #: ``full`` make a tensor's storage and ``observe`` reads it back.
+        self.apply = backend.apply
+        self.source = backend.source
+        self.constant = backend.constant
+        self.full = backend.full
+        self.observe = backend.observe
 
     def reset(self) -> None:
         """Zero the simulated clocks and counters (between experiments)."""
-        if self.kind == "eager":
-            self.dispatcher.reset()
-        elif self.kind == "lazy":
-            self.runtime.reset()
+        self._backend.reset()
 
     @property
     def elapsed(self) -> float:
         """Total simulated wall time consumed on this device."""
-        if self.kind == "eager":
-            return self.dispatcher.elapsed
-        if self.kind == "lazy":
-            return self.runtime.elapsed
-        return 0.0
+        return self._backend.elapsed
 
     def sync(self) -> float:
-        if self.kind == "eager":
-            return self.dispatcher.sync()
-        if self.kind == "lazy":
-            return self.runtime.sync()
-        return 0.0
+        return self._backend.sync()
 
     def trace_stats(self) -> dict:
         """Tracing counters (lazy devices only; empty otherwise)."""
-        if self.kind == "lazy":
-            return self.runtime.trace_stats()
-        return {}
+        return self._backend.trace_stats()
 
     def __repr__(self) -> str:
         return f"Device({self.name})"

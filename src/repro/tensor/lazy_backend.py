@@ -5,7 +5,10 @@ dynamic trace* — an in-memory DAG of :class:`TraceNode` objects (Figure 4).
 Nothing executes until the program observes a tensor's contents (or an
 explicit :func:`repro.tensor.api.LazyTensorBarrier`), at which point the
 trace fragment is lowered to HLO, JIT-compiled (with the trace-hash →
-executable cache of Section 3.4), and run.
+executable cache of Section 3.4), and run.  What an op records, how it
+lowers and what evaluates it on an async-compile miss are all its row of
+:mod:`repro.tensor.traceops`; :func:`fragment_order` is the one traversal
+of a fragment.
 
 Because tensors that already hold data enter new traces as *parameters*,
 the per-step trace of a training loop hashes identically across steps and
@@ -21,15 +24,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import HloError
-from repro.hlo import shapes as si
 from repro.hlo.builder import HloBuilder
-from repro.hlo.compiler import _COMPARE, STATS as COMPILER_STATS
+from repro.hlo.compiler import STATS as COMPILER_STATS
 from repro.hlo.compiler import AsyncCompiler, compile_module
 from repro.hlo.ir import Shape
 from repro.runtime.costmodel import EngineProfile
 from repro.runtime.device import SimDevice
-from repro.runtime.kernels import ITEMSIZE, KERNELS
+from repro.runtime.kernels import ITEMSIZE
+from repro.tensor.traceops import TRACE_OPS, trace_op
 
 
 class TraceNode:
@@ -190,6 +192,12 @@ class LazyRuntime:
             self._auto_cut(node)
         return node
 
+    def apply(self, op: str, operands: list[TraceNode], attrs: dict) -> TraceNode:
+        """Record ``op`` with the shape and dtype its table row infers."""
+        row = TRACE_OPS[op]
+        shape = row.infer([node.shape for node in operands], attrs)
+        return self.record(op, operands, shape, row.dtype, attrs)
+
     def _auto_cut(self, pending: TraceNode) -> None:
         """Automatically compile-and-dispatch the grown trace fragment.
 
@@ -215,7 +223,16 @@ class LazyRuntime:
             "constant", [], (), "f32", attrs={"value": float(value)}
         )
 
+    def full(self, shape: tuple[int, ...], value: float) -> TraceNode:
+        return self.source(np.full(shape, value, dtype=np.float32))
+
     # -- materialization ----------------------------------------------------------
+
+    def observe(self, node: TraceNode) -> np.ndarray:
+        """A tensor's contents: cut the trace at ``node`` and wait for it."""
+        (value,) = self.materialize([node])
+        self.sync()
+        return value
 
     def materialize(self, nodes: Sequence[TraceNode]) -> list[np.ndarray]:
         """Cut the trace at ``nodes``: compile + run their fused fragment."""
@@ -348,285 +365,79 @@ class LazyRuntime:
         eager per-op dispatch on the host clock and one unfused kernel per
         op on the device clock."""
         values: dict[int, np.ndarray] = {}
-        for node in _fragment_postorder(targets):
+        for node in fragment_order(targets):
             if node.is_source:
                 values[node.id] = node.data
                 continue
             if node.op == "constant":
                 values[node.id] = np.asarray(node.attrs["value"], dtype=np.float32)
                 continue
-            args = [values[i.id] for i in node.inputs]
-            result = _eval_trace_node(node, args)
-            values[node.id] = result
-            self.host_time += self.engine.fallback_op_overhead
-            out_elems = int(np.prod(node.shape)) if node.shape else 1
-            in_elems = sum(
-                int(np.prod(i.shape)) if i.shape else 1 for i in node.inputs
+            row = TRACE_OPS[node.op]
+            kernel, attr_values = row.kernel_call(node.attrs)
+            values[node.id] = kernel(
+                *[values[i.id] for i in node.inputs], *attr_values
             )
-            flops = _FALLBACK_FLOPS_PER_ELEMENT.get(node.op, 1.0) * out_elems
-            if node.op == "matmul":
-                k = node.inputs[0].shape[-1] if node.inputs[0].shape else 1
-                flops = 2.0 * out_elems * k
+            self.host_time += self.engine.fallback_op_overhead
+            in_shapes = [i.shape for i in node.inputs]
+            out_elems = int(np.prod(node.shape)) if node.shape else 1
+            in_elems = sum(int(np.prod(s)) if s else 1 for s in in_shapes)
+            flops = row.flops_per_element
+            if callable(flops):
+                flops = flops(in_shapes)
             self.sim.busy_until = max(self.sim.busy_until, self.host_time)
             self.sim.launch_fused(
-                1, flops, (out_elems + in_elems) * ITEMSIZE, self.host_time
+                1, flops * out_elems, (out_elems + in_elems) * ITEMSIZE, self.host_time
             )
         if len(targets) == 1:
             return values[targets[0].id]
         return tuple(values[t.id] for t in targets)
 
 
-#: Trace op name -> HloBuilder lowering.  Most map one-to-one.
-def _lower_to_hlo(targets: list[TraceNode]):
-    builder = HloBuilder("trace")
-    mapping: dict[int, object] = {}
-    param_nodes: list[TraceNode] = []
+def fragment_order(roots: Sequence) -> list:
+    """Every node of the fragment cut at ``roots``, operands first, each once.
 
-    def lower(root: TraceNode):
-        # Iterative post-order walk: unrolled training traces can be far
-        # deeper than Python's recursion limit.
-        stack: list[tuple[TraceNode, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node.id in mapping:
-                continue
-            if node.is_source:
-                param_nodes.append(node)
-                mapping[node.id] = builder.parameter(Shape(tuple(node.shape)))
-                continue
-            if node.op == "constant":
-                mapping[node.id] = builder.constant(node.attrs["value"])
-                continue
-            if expanded:
-                inputs = [mapping[i.id] for i in node.inputs]
-                mapping[node.id] = _emit(builder, node, inputs)
-            else:
-                stack.append((node, True))
-                for operand in reversed(node.inputs):
-                    if operand.id not in mapping:
-                        stack.append((operand, False))
-        return mapping[root.id]
-
-    roots = [lower(t) for t in targets]
-    root = roots[0] if len(roots) == 1 else builder.tuple(roots)
-    module = builder.build(root, module_name="trace_fragment")
-    return module, param_nodes
-
-
-_UNARY = {
-    "neg": "negate",
-    "exp": "exponential",
-    "log": "log",
-    "tanh": "tanh",
-    "sqrt": "sqrt",
-    "rsqrt": "rsqrt",
-    "sigmoid": "logistic",
-    "relu": "relu",
-    "abs": "abs",
-    "sign": "sign",
-}
-
-_BINARY = {
-    "add": "add",
-    "sub": "subtract",
-    "mul": "multiply",
-    "div": "divide",
-    "pow": "power",
-    "maximum": "maximum",
-    "minimum": "minimum",
-}
-
-
-def _emit(builder: HloBuilder, node: TraceNode, inputs):
-    op = node.op
-    if op in _UNARY:
-        return builder.unary(_UNARY[op], inputs[0])
-    if op in _BINARY:
-        a, b = inputs
-        # Explicit broadcasts keep HLO shapes static.
-        dims = si.broadcast_shapes(a.shape, b.shape)
-        a = builder.broadcast(a, dims)
-        b = builder.broadcast(b, dims)
-        return builder.binary(_BINARY[op], a, b)
-    if op == "compare":
-        a, b = inputs
-        dims = si.broadcast_shapes(a.shape, b.shape)
-        a = builder.broadcast(a, dims)
-        b = builder.broadcast(b, dims)
-        return builder.binary("compare", a, b, comparison=node.attrs["direction"])
-    if op == "select":
-        pred, on_true, on_false = inputs
-        dims = si.broadcast_shapes(pred.shape, on_true.shape)
-        dims = si.broadcast_shapes(Shape(dims), on_false.shape)
-        return builder.select(
-            builder.broadcast(pred, dims),
-            builder.broadcast(on_true, dims),
-            builder.broadcast(on_false, dims),
-        )
-    if op == "matmul":
-        return builder.dot(inputs[0], inputs[1])
-    if op == "conv2d":
-        return builder.convolution(
-            inputs[0], inputs[1], node.attrs["stride"], node.attrs["padding"]
-        )
-    if op == "conv2d_grad_input":
-        return builder.conv_grad_input(
-            inputs[0],
-            inputs[1],
-            node.attrs["input_dims"],
-            node.attrs["stride"],
-            node.attrs["padding"],
-        )
-    if op == "conv2d_grad_filter":
-        return builder.conv_grad_filter(
-            inputs[0],
-            inputs[1],
-            node.attrs["filter_dims"],
-            node.attrs["stride"],
-            node.attrs["padding"],
-        )
-    if op == "reduce":
-        return builder.reduce(
-            inputs[0], node.attrs["kind"], node.attrs["axes"], node.attrs["keepdims"]
-        )
-    if op == "reshape":
-        return builder.reshape(inputs[0], node.attrs["dims"])
-    if op == "transpose":
-        return builder.transpose(inputs[0], node.attrs["perm"])
-    if op == "broadcast_to":
-        return builder.broadcast(inputs[0], node.attrs["dims"])
-    if op == "avg_pool":
-        return builder.avg_pool(inputs[0], node.attrs["pool"], node.attrs["stride"])
-    if op == "avg_pool_grad":
-        return builder.avg_pool_grad(
-            inputs[0], node.attrs["input_dims"], node.attrs["pool"], node.attrs["stride"]
-        )
-    if op == "max_pool":
-        return builder.max_pool(inputs[0], node.attrs["pool"], node.attrs["stride"])
-    if op == "max_pool_grad":
-        return builder.max_pool_grad(
-            inputs[0], inputs[1], node.attrs["pool"], node.attrs["stride"]
-        )
-    if op == "one_hot":
-        return builder.one_hot(inputs[0], node.attrs["depth"])
-    if op == "softmax_ce":
-        return builder.softmax_ce(inputs[0], inputs[1])
-    if op == "softmax_ce_grad":
-        return builder.softmax_ce_grad(inputs[0], inputs[1])
-    if op == "pad":
-        return builder.pad(inputs[0], node.attrs["paddings"])
-    if op == "slice":
-        return builder.slice(inputs[0], node.attrs["starts"], node.attrs["sizes"])
-    if op == "concat":
-        return builder.concatenate(inputs, node.attrs["axis"])
-    raise HloError(f"no HLO lowering for traced op {op!r}")
-
-
-# ---------------------------------------------------------------------------
-# Op-by-op fallback evaluation (async-compile misses).
-# ---------------------------------------------------------------------------
-
-_K = KERNELS
-
-#: Transcendentals cost ~10 flops/element on the roofline, matching the
-#: compiled path's per-instruction cost table.
-_FALLBACK_FLOPS_PER_ELEMENT = {
-    "exp": 10.0,
-    "log": 10.0,
-    "tanh": 10.0,
-    "sigmoid": 10.0,
-    "pow": 10.0,
-    "sqrt": 4.0,
-    "rsqrt": 4.0,
-}
-
-_REDUCE_KERNELS = {"sum": "reduce_sum", "mean": "reduce_mean", "max": "reduce_max"}
-
-
-def _fragment_postorder(targets: Sequence[TraceNode]) -> list[TraceNode]:
-    """The exact traversal `_lower_to_hlo` uses, without building HLO."""
+    Per-root post-order sharing one visited set (leaves — sources and
+    constants — are numbered at first sight).  Lowering numbers parameters
+    and instructions in this order, so the canonical trace key, the
+    op-by-op fallback and the trace checker must walk exactly it: this is
+    the only traversal of ``inputs`` they have.  Iterative, because
+    unrolled training traces can be far deeper than the recursion limit;
+    accepts any node with ``id`` and ``inputs`` (snapshots included).
+    """
     seen: set[int] = set()
-    order: list[TraceNode] = []
-    for root in targets:
-        stack: list[tuple[TraceNode, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node.id in seen:
-                continue
-            if node.is_source or node.op == "constant" or expanded:
-                seen.add(node.id)
-                order.append(node)
-                continue
-            stack.append((node, True))
-            for operand in reversed(node.inputs):
-                if operand.id not in seen:
-                    stack.append((operand, False))
+    order: list = []
+    stack: list[tuple] = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, expanded = stack.pop()
+        if node.id in seen:
+            continue
+        if expanded or not node.inputs:
+            seen.add(node.id)
+            order.append(node)
+            continue
+        stack.append((node, True))
+        for operand in reversed(node.inputs):
+            if operand.id not in seen:
+                stack.append((operand, False))
     return order
 
 
-def _eval_trace_node(node: TraceNode, args: list):
-    """Evaluate one traced op with the kernels its lowering compiles to."""
-    op = node.op
-    if op in _UNARY:
-        return _K[op](args[0])
-    if op in _BINARY:
-        return _K[op](args[0], args[1])
-    if op == "compare":
-        return _COMPARE[node.attrs["direction"]](args[0], args[1])
-    if op == "select":
-        pred, on_true, on_false = np.broadcast_arrays(*args)
-        return _K["select"](pred, on_true, on_false)
-    if op == "matmul":
-        return _K["matmul"](args[0], args[1])
-    if op == "conv2d":
-        return _K["conv2d"](args[0], args[1], node.attrs["stride"], node.attrs["padding"])
-    if op == "conv2d_grad_input":
-        return _K["conv2d_grad_input"](
-            args[0],
-            args[1],
-            node.attrs["input_dims"],
-            node.attrs["stride"],
-            node.attrs["padding"],
-        )
-    if op == "conv2d_grad_filter":
-        return _K["conv2d_grad_filter"](
-            args[0],
-            args[1],
-            node.attrs["filter_dims"],
-            node.attrs["stride"],
-            node.attrs["padding"],
-        )
-    if op == "reduce":
-        kernel = _REDUCE_KERNELS[node.attrs["kind"]]
-        return _K[kernel](args[0], node.attrs["axes"], node.attrs["keepdims"])
-    if op == "reshape":
-        return _K["reshape"](args[0], node.attrs["dims"])
-    if op == "transpose":
-        return _K["transpose"](args[0], node.attrs["perm"])
-    if op == "broadcast_to":
-        return _K["broadcast_to"](args[0], node.attrs["dims"])
-    if op == "avg_pool":
-        return _K["avg_pool2d"](args[0], node.attrs["pool"], node.attrs["stride"])
-    if op == "avg_pool_grad":
-        return _K["avg_pool2d_grad"](
-            args[0], node.attrs["input_dims"], node.attrs["pool"], node.attrs["stride"]
-        )
-    if op == "max_pool":
-        return _K["max_pool2d"](args[0], node.attrs["pool"], node.attrs["stride"])
-    if op == "max_pool_grad":
-        return _K["max_pool2d_grad"](
-            args[0], args[1], node.attrs["pool"], node.attrs["stride"]
-        )
-    if op == "one_hot":
-        return _K["one_hot"](args[0], node.attrs["depth"])
-    if op == "softmax_ce":
-        return _K["softmax_cross_entropy"](args[0], args[1])
-    if op == "softmax_ce_grad":
-        return _K["softmax_cross_entropy_grad"](args[0], args[1])
-    if op == "pad":
-        return _K["pad"](args[0], node.attrs["paddings"])
-    if op == "slice":
-        return _K["slice"](args[0], node.attrs["starts"], node.attrs["sizes"])
-    if op == "concat":
-        return _K["concat"](*args, node.attrs["axis"])
-    raise HloError(f"no fallback evaluation for traced op {op!r}")
+def _lower_to_hlo(targets: list[TraceNode]):
+    """Lower the fragment to one HLO module; sources become its parameters."""
+    builder = HloBuilder("trace")
+    mapping: dict[int, object] = {}
+    param_nodes: list[TraceNode] = []
+    for node in fragment_order(targets):
+        if node.is_source:
+            param_nodes.append(node)
+            mapping[node.id] = builder.parameter(Shape(tuple(node.shape)))
+        elif node.op == "constant":
+            mapping[node.id] = builder.constant(node.attrs["value"])
+        else:
+            mapping[node.id] = trace_op(node.op).lower(
+                builder, [mapping[i.id] for i in node.inputs], node.attrs
+            )
+    roots = [mapping[t.id] for t in targets]
+    root = roots[0] if len(roots) == 1 else builder.tuple(roots)
+    module = builder.build(root, module_name="trace_fragment")
+    return module, param_nodes

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import partial
 from typing import Callable, Sequence
 
 
@@ -309,49 +310,29 @@ def broadcast_to(a: NaiveArray, shape: Sequence[int]) -> NaiveArray:
     return NaiveArray(_broadcast_data(a, shape), shape)
 
 
-def sum_to_match(a: NaiveArray, target_shape: tuple[int, ...]) -> NaiveArray:
-    """Reduce broadcast dimensions so the result has ``target_shape``."""
-    if a.shape == tuple(target_shape):
-        return a
-    rank = len(a.shape)
-    target = (1,) * (rank - len(target_shape)) + tuple(target_shape)
-    axes = tuple(
-        i for i, (da, dt) in enumerate(zip(a.shape, target)) if dt == 1 and da != 1
-    )
-    lead = tuple(range(rank - len(target_shape)))
-    reduce_axes = tuple(sorted(set(axes) | set(lead)))
-    if reduce_axes:
-        keep = [i for i in range(rank) if i not in lead]
-        reduced = reduce("sum", a, reduce_axes, keepdims=True)
-        # Drop leading axes entirely.
-        new_shape = tuple(reduced.shape[i] for i in keep)
-        return NaiveArray(reduced.data, new_shape if new_shape else ())
-    return reshape(a, target_shape)
-
-
-def index_row(a: NaiveArray, i: int) -> NaiveArray:
-    """``a[i]`` along axis 0 (negative indices allowed)."""
-    n = a.shape[0]
-    if i < 0:
-        i += n
-    if not 0 <= i < n:
-        raise IndexError(f"index {i} out of range for axis of size {n}")
+def slice_rows(a: NaiveArray, starts, sizes) -> NaiveArray:
+    """``slice`` where every axis but the first is taken whole."""
+    if tuple(sizes[1:]) != a.shape[1:] or any(starts[1:]):
+        raise NotImplementedError("naive slice supports axis 0 only")
     stride = _numel(a.shape[1:])
-    return NaiveArray(a.data[i * stride : (i + 1) * stride], a.shape[1:])
+    stop = starts[0] + sizes[0]
+    return NaiveArray(a.data[starts[0] * stride : stop * stride], tuple(sizes))
 
 
-def slice_rows(a: NaiveArray, start: int, stop: int) -> NaiveArray:
-    """``a[start:stop]`` along axis 0."""
-    n = a.shape[0]
-    start, stop, _ = slice(start, stop).indices(n)
+def pad_rows(a: NaiveArray, paddings) -> NaiveArray:
+    """Zero ``pad`` along axis 0."""
+    (before, after), *rest = paddings
+    if any(lo or hi for lo, hi in rest):
+        raise NotImplementedError("naive pad supports axis 0 only")
     stride = _numel(a.shape[1:])
-    return NaiveArray(
-        a.data[start * stride : stop * stride], (max(stop - start, 0),) + a.shape[1:]
-    )
+    data = [0.0] * (before * stride) + list(a.data) + [0.0] * (after * stride)
+    return NaiveArray(data, (a.shape[0] + before + after,) + a.shape[1:])
 
 
-def concat_rows(arrays: list[NaiveArray]) -> NaiveArray:
-    """Concatenate along axis 0."""
+def concat_rows(*arrays: NaiveArray, axis: int) -> NaiveArray:
+    """``concat`` along axis 0."""
+    if axis != 0:
+        raise NotImplementedError("naive concat supports axis 0 only")
     inner = arrays[0].shape[1:]
     for arr in arrays:
         if arr.shape[1:] != inner:
@@ -362,8 +343,59 @@ def concat_rows(arrays: list[NaiveArray]) -> NaiveArray:
     return NaiveArray(data, (sum(a.shape[0] for a in arrays),) + inner)
 
 
-def pad_rows(a: NaiveArray, before: int, after: int) -> NaiveArray:
-    """Zero-pad along axis 0."""
-    stride = _numel(a.shape[1:])
-    data = [0.0] * (before * stride) + list(a.data) + [0.0] * (after * stride)
-    return NaiveArray(data, (a.shape[0] + before + after,) + a.shape[1:])
+#: Traced-op name -> implementation taking the operands, then the op's
+#: attributes by name (the names of ``repro.tensor.traceops``).  An op
+#: without an entry is one the naive backend does not provide.
+_OPS: dict[str, Callable[..., NaiveArray]] = {
+    **{op: partial(unary, op) for op in _UNOPS},
+    **{op: partial(binary, op) for op in _BINOPS},
+    "compare": lambda a, b, direction: compare(direction, a, b),
+    "select": select,
+    "matmul": matmul,
+    "reduce": lambda a, kind, axes, keepdims: reduce(kind, a, axes, keepdims),
+    "reshape": lambda a, dims: reshape(a, dims),
+    "transpose": transpose,
+    "broadcast_to": lambda a, dims: broadcast_to(a, dims),
+    "slice": slice_rows,
+    "pad": pad_rows,
+    "concat": concat_rows,
+}
+
+
+class NaiveBackend:
+    """The naive device's side of ``Device``: no clock, nothing to trace."""
+
+    elapsed = 0.0
+
+    def apply(self, op: str, operands: list[NaiveArray], attrs: dict) -> NaiveArray:
+        fn = _OPS.get(op)
+        if fn is None:
+            raise NotImplementedError(
+                f"{op} is not provided by the naive backend (Section 3.1's "
+                "naive tensor targets small dense workloads); use an eager or "
+                "lazy device"
+            )
+        return fn(*operands, **attrs)
+
+    def source(self, data) -> NaiveArray:
+        return from_nested(data.tolist() if hasattr(data, "tolist") else data)
+
+    def constant(self, value: float) -> NaiveArray:
+        return full((), value)
+
+    def full(self, shape: tuple[int, ...], value: float) -> NaiveArray:
+        return full(shape, float(value))
+
+    def observe(self, a: NaiveArray):
+        import numpy as np  # only observation needs it; the arithmetic is list-only
+
+        return np.asarray(to_nested(a), dtype=np.float32).reshape(a.shape)
+
+    def reset(self) -> None:
+        pass
+
+    def sync(self) -> float:
+        return 0.0
+
+    def trace_stats(self) -> dict:
+        return {}

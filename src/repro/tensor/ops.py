@@ -13,89 +13,6 @@ from __future__ import annotations
 
 from repro.sil.frontend import register_method
 from repro.sil.primitives import primitive
-from repro.tensor.tensor import Tensor
-
-
-def _conv2d_impl(x: Tensor, filters: Tensor, stride: int, padding: str) -> Tensor:
-    dev = x.device.kind
-    if dev == "naive":
-        raise NotImplementedError(
-            "conv2d is not provided by the naive backend (Section 3.1's "
-            "naive tensor targets small dense workloads); use an eager or "
-            "lazy device"
-        )
-    if dev == "eager":
-        from repro.runtime.kernels import KERNELS
-
-        result = x.device.dispatcher.dispatch(
-            KERNELS["conv2d"], (x._impl, filters._impl, stride, padding)
-        )
-        return Tensor._wrap(result, x.device)
-    from repro.hlo import shapes as si
-    from repro.hlo.ir import Shape
-
-    out = si.infer_conv(Shape(x.shape), Shape(filters.shape), stride, padding)
-    node = x.device.runtime.record(
-        "conv2d",
-        [x._impl, filters._impl],
-        out.dims,
-        attrs={"stride": stride, "padding": padding},
-    )
-    return Tensor._wrap(node, x.device)
-
-
-def _tensor_op(x: Tensor, op: str, inputs, shape, attrs) -> Tensor:
-    """Dispatch a named non-elementwise op on eager/lazy backends."""
-    dev = x.device.kind
-    if dev == "eager":
-        from repro.runtime.kernels import KERNELS
-
-        kernel_name, args = _EAGER_LOWERING[op](inputs, attrs)
-        result = x.device.dispatcher.dispatch(KERNELS[kernel_name], args)
-        return Tensor._wrap(result, x.device)
-    if dev == "lazy":
-        node = x.device.runtime.record(
-            op, [t._impl for t in inputs], shape, attrs=attrs
-        )
-        return Tensor._wrap(node, x.device)
-    raise NotImplementedError(f"{op} is not provided by the naive backend")
-
-
-_EAGER_LOWERING = {
-    "conv2d_grad_input": lambda ins, at: (
-        "conv2d_grad_input",
-        (ins[0]._impl, ins[1]._impl, at["input_dims"], at["stride"], at["padding"]),
-    ),
-    "conv2d_grad_filter": lambda ins, at: (
-        "conv2d_grad_filter",
-        (ins[0]._impl, ins[1]._impl, at["filter_dims"], at["stride"], at["padding"]),
-    ),
-    "avg_pool": lambda ins, at: (
-        "avg_pool2d",
-        (ins[0]._impl, at["pool"], at["stride"]),
-    ),
-    "avg_pool_grad": lambda ins, at: (
-        "avg_pool2d_grad",
-        (ins[0]._impl, at["input_dims"], at["pool"], at["stride"]),
-    ),
-    "max_pool": lambda ins, at: (
-        "max_pool2d",
-        (ins[0]._impl, at["pool"], at["stride"]),
-    ),
-    "max_pool_grad": lambda ins, at: (
-        "max_pool2d_grad",
-        (ins[0]._impl, ins[1]._impl, at["pool"], at["stride"]),
-    ),
-    "softmax_ce": lambda ins, at: (
-        "softmax_cross_entropy",
-        (ins[0]._impl, ins[1]._impl),
-    ),
-    "softmax_ce_grad": lambda ins, at: (
-        "softmax_cross_entropy_grad",
-        (ins[0]._impl, ins[1]._impl),
-    ),
-    "one_hot": lambda ins, at: ("one_hot", (ins[0]._impl, at["depth"])),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -137,44 +54,28 @@ def _matmul_jvp(primals, tangents):
 @primitive("conv2d", nondiff_args=(2, 3))
 def conv2d(x, filters, stride=1, padding="valid"):
     """2-D convolution, NHWC input and (KH,KW,CIN,COUT) filters."""
-    return _conv2d_impl(x, filters, stride, padding)
+    return x._apply("conv2d", (x, filters), stride=stride, padding=padding)
 
 
 @conv2d.def_vjp
 def _conv2d_vjp(x, filters, stride=1, padding="valid"):
-    y = _conv2d_impl(x, filters, stride, padding)
+    y = conv2d.fn(x, filters, stride, padding)
+    attrs = {"stride": stride, "padding": padding}
 
     def pullback(ct):
-        gx = _tensor_op(
-            x,
-            "conv2d_grad_input",
-            [ct, filters],
-            x.shape,
-            {"input_dims": x.shape, "stride": stride, "padding": padding},
-        )
-        gf = _tensor_op(
-            x,
-            "conv2d_grad_filter",
-            [x, ct],
-            filters.shape,
-            {"filter_dims": filters.shape, "stride": stride, "padding": padding},
+        gx = x._apply("conv2d_grad_input", (ct, filters), input_dims=x.shape, **attrs)
+        gf = x._apply(
+            "conv2d_grad_filter", (x, ct), filter_dims=filters.shape, **attrs
         )
         return (gx, gf, None, None)
 
     return y, pullback
 
 
-def _pool_out_shape(x, pool, stride):
-    n, h, w, c = x.shape
-    return (n, (h - pool) // stride + 1, (w - pool) // stride + 1, c)
-
-
 @primitive("avg_pool2d", nondiff_args=(1, 2))
 def avg_pool2d(x, pool=2, stride=2):
     """Average pooling over NHWC windows."""
-    return _tensor_op(
-        x, "avg_pool", [x], _pool_out_shape(x, pool, stride), {"pool": pool, "stride": stride}
-    )
+    return x._apply("avg_pool", (x,), pool=pool, stride=stride)
 
 
 @avg_pool2d.def_vjp
@@ -182,12 +83,8 @@ def _avg_pool2d_vjp(x, pool=2, stride=2):
     y = avg_pool2d.fn(x, pool, stride)
 
     def pullback(ct):
-        gx = _tensor_op(
-            x,
-            "avg_pool_grad",
-            [ct],
-            x.shape,
-            {"input_dims": x.shape, "pool": pool, "stride": stride},
+        gx = x._apply(
+            "avg_pool_grad", (ct,), input_dims=x.shape, pool=pool, stride=stride
         )
         return (gx, None, None)
 
@@ -197,9 +94,7 @@ def _avg_pool2d_vjp(x, pool=2, stride=2):
 @primitive("max_pool2d", nondiff_args=(1, 2))
 def max_pool2d(x, pool=2, stride=2):
     """Max pooling over NHWC windows."""
-    return _tensor_op(
-        x, "max_pool", [x], _pool_out_shape(x, pool, stride), {"pool": pool, "stride": stride}
-    )
+    return x._apply("max_pool", (x,), pool=pool, stride=stride)
 
 
 @max_pool2d.def_vjp
@@ -207,13 +102,7 @@ def _max_pool2d_vjp(x, pool=2, stride=2):
     y = max_pool2d.fn(x, pool, stride)
 
     def pullback(ct):
-        gx = _tensor_op(
-            x,
-            "max_pool_grad",
-            [x, ct],
-            x.shape,
-            {"pool": pool, "stride": stride},
-        )
+        gx = x._apply("max_pool_grad", (x, ct), pool=pool, stride=stride)
         return (gx, None, None)
 
     return y, pullback
@@ -354,18 +243,15 @@ def _tensor_broadcast_to_vjp(x, dims):
 @primitive("softmax_cross_entropy")
 def softmax_cross_entropy(logits, labels):
     """Mean softmax cross entropy against one-hot ``labels``; scalar."""
-    return _tensor_op(logits, "softmax_ce", [logits, labels], (), {})
+    return logits._apply("softmax_ce", (logits, labels))
 
 
 @softmax_cross_entropy.def_vjp
 def _softmax_ce_vjp(logits, labels):
-    loss = _tensor_op(logits, "softmax_ce", [logits, labels], (), {})
+    loss = softmax_cross_entropy.fn(logits, labels)
 
     def pullback(ct):
-        g = _tensor_op(
-            logits, "softmax_ce_grad", [logits, labels], logits.shape, {}
-        )
-        return (g * ct, None)
+        return (logits._apply("softmax_ce_grad", (logits, labels)) * ct, None)
 
     return loss, pullback
 
@@ -373,9 +259,7 @@ def _softmax_ce_vjp(logits, labels):
 @primitive("one_hot", nondiff_args=(0, 1))
 def one_hot(indices, depth):
     """One-hot encode a float tensor of class indices."""
-    return _tensor_op(
-        indices, "one_hot", [indices], indices.shape + (depth,), {"depth": depth}
-    )
+    return indices._apply("one_hot", (indices,), depth=depth)
 
 
 @primitive("mse_loss")
@@ -401,31 +285,7 @@ def _mse_loss_vjp(predictions, targets):
 @primitive("tensor_concat", nondiff_args=(1,))
 def tensor_concat(tensors, axis=0):
     """Concatenate a list of tensors along ``axis`` (axis 0 on naive)."""
-    first = tensors[0]
-    kind = first.device.kind
-    if kind == "naive":
-        from repro.tensor import naive_backend as _nb
-
-        if axis != 0:
-            raise NotImplementedError("naive concat supports axis 0")
-        return Tensor._wrap(
-            _nb.concat_rows([t._impl for t in tensors]), first.device
-        )
-    if kind == "eager":
-        from repro.runtime.kernels import KERNELS
-
-        result = first.device.dispatcher.dispatch(
-            KERNELS["concat"], tuple(t._impl for t in tensors) + (axis,)
-        )
-        return Tensor._wrap(result, first.device)
-    from repro.hlo import shapes as si
-    from repro.hlo.ir import Shape
-
-    out = si.infer_concat([Shape(t.shape) for t in tensors], axis)
-    node = first.device.runtime.record(
-        "concat", [t._impl for t in tensors], out.dims, attrs={"axis": axis}
-    )
-    return Tensor._wrap(node, first.device)
+    return tensors[0]._apply("concat", tensors, axis=axis)
 
 
 @tensor_concat.def_vjp
@@ -448,28 +308,11 @@ def _tensor_concat_vjp(tensors, axis=0):
                 dims = tuple(
                     size if d == axis_n else t.shape[d] for d in range(rank)
                 )
-                pieces.append(_tensor_slice(ct, starts, dims))
+                pieces.append(ct._apply("slice", (ct,), starts=starts, sizes=dims))
             offset += size
         return (pieces, None)
 
     return y, pullback
-
-
-def _tensor_slice(x, starts, sizes):
-    kind = x.device.kind
-    if kind == "eager":
-        from repro.runtime.kernels import KERNELS
-
-        result = x.device.dispatcher.dispatch(
-            KERNELS["slice"], (x._impl, starts, sizes)
-        )
-        return Tensor._wrap(result, x.device)
-    if kind == "lazy":
-        node = x.device.runtime.record(
-            "slice", [x._impl], tuple(sizes), attrs={"starts": starts, "sizes": sizes}
-        )
-        return Tensor._wrap(node, x.device)
-    raise NotImplementedError("naive general slicing")
 
 
 # ---------------------------------------------------------------------------

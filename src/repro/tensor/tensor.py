@@ -8,6 +8,10 @@ One API, three backends selected by device placement (Sections 3.1–3.3):
 * ``lazy`` — implicit trace recording, JIT-compiled through HLO on first
   observation.
 
+Tensor itself never asks which: every operation is ``_apply(op, operands,
+**attrs)`` — a row of :mod:`repro.tensor.traceops` handed to the backend
+the tensor's :class:`Device` bound at construction.
+
 Tensor is a *value type*: every operation yields a fresh value, and the
 in-place ``move_`` used by optimizers rebinds this variable's storage
 without affecting any other tensor — mutable value semantics (Section 4).
@@ -24,42 +28,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import DeviceError, ShapeError
-from repro.runtime.kernels import KERNELS
-from repro.tensor import naive_backend as nb
 from repro.tensor.device import Device, default_device
+from repro.tensor.traceops import normalize_axes
 
 Scalar = Union[int, float]
-
-_EAGER_UNARY = {
-    "neg": "neg",
-    "exp": "exp",
-    "log": "log",
-    "tanh": "tanh",
-    "sqrt": "sqrt",
-    "rsqrt": "rsqrt",
-    "sigmoid": "sigmoid",
-    "relu": "relu",
-    "abs": "abs",
-    "sign": "sign",
-}
-
-_EAGER_BINARY = {
-    "add": "add",
-    "sub": "sub",
-    "mul": "mul",
-    "div": "div",
-    "pow": "pow",
-    "maximum": "maximum",
-    "minimum": "minimum",
-}
-
-_EAGER_COMPARE = {
-    "gt": "greater",
-    "ge": "greater_equal",
-    "lt": "less",
-    "le": "less_equal",
-    "eq": "equal",
-}
 
 
 class Tensor:
@@ -69,23 +41,12 @@ class Tensor:
 
     def __init__(self, data, device: Optional[Device] = None) -> None:
         if isinstance(data, Tensor):
-            device = device or data.device
+            self.device = device or data.device
             self._impl = data._impl
-            self.device = device
-            if device.kind == "lazy":
-                device.runtime.register_tensor(self)
-            return
-        self.device = device or default_device()
-        kind = self.device.kind
-        if kind == "naive":
-            self._impl = nb.from_nested(
-                data.tolist() if isinstance(data, np.ndarray) else data
-            )
-        elif kind == "eager":
-            self._impl = np.asarray(data, dtype=np.float32)
-        else:  # lazy
-            array = np.asarray(data, dtype=np.float32)
-            self._impl = self.device.runtime.source(array)
+        else:
+            self.device = device or default_device()
+            self._impl = self.device.source(data)
+        if self.device.kind == "lazy":
             self.device.runtime.register_tensor(self)
 
     # -- constructors --------------------------------------------------------
@@ -110,13 +71,7 @@ class Tensor:
     @classmethod
     def full(cls, shape: Sequence[int], value: float, device=None) -> "Tensor":
         device = device or default_device()
-        shape = tuple(shape)
-        if device.kind == "naive":
-            return cls._wrap(nb.full(shape, float(value)), device)
-        array = np.full(shape, value, dtype=np.float32)
-        if device.kind == "eager":
-            return cls._wrap(array, device)
-        return cls._wrap(device.runtime.source(array), device)
+        return cls._wrap(device.full(tuple(shape), value), device)
 
     @classmethod
     def randn(
@@ -159,17 +114,7 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         """Observe the tensor's contents (a materialization point)."""
-        kind = self.device.kind
-        if kind == "naive":
-            return np.asarray(nb.to_nested(self._impl), dtype=np.float32).reshape(
-                self._impl.shape
-            )
-        if kind == "eager":
-            self.device.dispatcher.sync()
-            return self._impl
-        (value,) = self.device.runtime.materialize([self._impl])
-        self.device.runtime.sync()
-        return value
+        return self.device.observe(self._impl)
 
     def item(self) -> float:
         if self.size != 1:
@@ -197,67 +142,31 @@ class Tensor:
                 )
             return other
         if isinstance(other, (int, float)):
-            if self.device.kind == "lazy":
-                return Tensor._wrap(
-                    self.device.runtime.constant(float(other)), self.device
-                )
-            return Tensor.full((), float(other), self.device)
+            return Tensor._wrap(self.device.constant(float(other)), self.device)
         raise TypeError(f"cannot mix Tensor with {type(other).__name__}")
+
+    def _apply(self, op: str, operands, **attrs) -> "Tensor":
+        """One traced op (a row of ``repro.tensor.traceops``) on this
+        tensor's device: computed, recorded or interpreted by its backend."""
+        device = self.device
+        return Tensor._wrap(
+            device.apply(op, [t._impl for t in operands], attrs), device
+        )
 
     def _binary(self, op: str, other) -> "Tensor":
         if not isinstance(other, (Tensor, int, float)):
             # Defer to the other operand's reflected operator (e.g. the
             # symbolic ZERO tangent's additive-identity behaviour).
             return NotImplemented
-        other = self._coerce(other)
-        kind = self.device.kind
-        if kind == "naive":
-            return Tensor._wrap(nb.binary(op, self._impl, other._impl), self.device)
-        if kind == "eager":
-            result = self.device.dispatcher.dispatch(
-                KERNELS[_EAGER_BINARY[op]], (self._impl, other._impl)
-            )
-            return Tensor._wrap(result, self.device)
-        shape = nb.broadcast_shape(self.shape, other.shape)
-        node = self.device.runtime.record(op, [self._impl, other._impl], shape)
-        return Tensor._wrap(node, self.device)
+        return self._apply(op, (self, self._coerce(other)))
 
     def _rbinary(self, op: str, other) -> "Tensor":
         return self._coerce(other)._binary(op, self)
 
-    def _unary(self, op: str) -> "Tensor":
-        kind = self.device.kind
-        if kind == "naive":
-            return Tensor._wrap(nb.unary(op, self._impl), self.device)
-        if kind == "eager":
-            result = self.device.dispatcher.dispatch(
-                KERNELS[_EAGER_UNARY[op]], (self._impl,)
-            )
-            return Tensor._wrap(result, self.device)
-        node = self.device.runtime.record(op, [self._impl], self.shape)
-        return Tensor._wrap(node, self.device)
-
     def _compare(self, direction: str, other) -> "Tensor":
-        other = self._coerce(other)
-        kind = self.device.kind
-        if kind == "naive":
-            return Tensor._wrap(
-                nb.compare(direction, self._impl, other._impl), self.device
-            )
-        if kind == "eager":
-            result = self.device.dispatcher.dispatch(
-                KERNELS[_EAGER_COMPARE[direction]], (self._impl, other._impl)
-            )
-            return Tensor._wrap(result, self.device)
-        shape = nb.broadcast_shape(self.shape, other.shape)
-        node = self.device.runtime.record(
-            "compare",
-            [self._impl, other._impl],
-            shape,
-            dtype="pred",
-            attrs={"direction": direction},
+        return self._apply(
+            "compare", (self, self._coerce(other)), direction=direction
         )
-        return Tensor._wrap(node, self.device)
 
     # -- operators ------------------------------------------------------------------
 
@@ -287,7 +196,7 @@ class Tensor:
         return self._binary("pow", other)
 
     def __neg__(self):
-        return self._unary("neg")
+        return self._apply("neg", (self,))
 
     def __gt__(self, other):
         return self._compare("gt", other)
@@ -309,56 +218,40 @@ class Tensor:
 
     def select(self, on_true, on_false):
         """Elementwise ``self ? on_true : on_false`` (self is a mask)."""
-        on_true = self._coerce(on_true)
-        on_false = self._coerce(on_false)
-        kind = self.device.kind
-        if kind == "naive":
-            return Tensor._wrap(
-                nb.select(self._impl, on_true._impl, on_false._impl), self.device
-            )
-        if kind == "eager":
-            result = self.device.dispatcher.dispatch(
-                KERNELS["select"], (self._impl, on_true._impl, on_false._impl)
-            )
-            return Tensor._wrap(result, self.device)
-        shape = nb.broadcast_shape(
-            nb.broadcast_shape(self.shape, on_true.shape), on_false.shape
+        return self._apply(
+            "select", (self, self._coerce(on_true), self._coerce(on_false))
         )
-        node = self.device.runtime.record(
-            "select", [self._impl, on_true._impl, on_false._impl], shape
-        )
-        return Tensor._wrap(node, self.device)
 
     # -- math methods (dispatch targets for the generic math primitives) -----------
 
     def exp(self):
-        return self._unary("exp")
+        return self._apply("exp", (self,))
 
     def log(self):
-        return self._unary("log")
+        return self._apply("log", (self,))
 
     def tanh(self):
-        return self._unary("tanh")
+        return self._apply("tanh", (self,))
 
     def sqrt(self):
-        return self._unary("sqrt")
+        return self._apply("sqrt", (self,))
 
     def rsqrt(self):
-        return self._unary("rsqrt")
+        return self._apply("rsqrt", (self,))
 
     def sigmoid(self):
-        return self._unary("sigmoid")
+        return self._apply("sigmoid", (self,))
 
     def relu(self):
-        return self._unary("relu")
+        return self._apply("relu", (self,))
 
     def abs(self):
-        return self._unary("abs")
+        return self._apply("abs", (self,))
 
     __abs__ = abs
 
     def sign(self):
-        return self._unary("sign")
+        return self._apply("sign", (self,))
 
     def relu_vjp(self):
         y = self.relu()
@@ -377,23 +270,7 @@ class Tensor:
     # -- matmul -------------------------------------------------------------------
 
     def __matmul__(self, other):
-        other = self._coerce(other)
-        kind = self.device.kind
-        if kind == "naive":
-            return Tensor._wrap(nb.matmul(self._impl, other._impl), self.device)
-        if kind == "eager":
-            result = self.device.dispatcher.dispatch(
-                KERNELS["matmul"], (self._impl, other._impl)
-            )
-            return Tensor._wrap(result, self.device)
-        from repro.hlo import shapes as si
-        from repro.hlo.ir import Shape
-
-        out = si.infer_dot(Shape(self.shape), Shape(other.shape))
-        node = self.device.runtime.record(
-            "matmul", [self._impl, other._impl], out.dims
-        )
-        return Tensor._wrap(node, self.device)
+        return self._apply("matmul", (self, self._coerce(other)))
 
     def __vjp_matmul__(self, other):
         a, b = self, self._coerce(other)
@@ -423,34 +300,8 @@ class Tensor:
     def _reduce(self, kind: str, axes, keepdims: bool) -> "Tensor":
         if isinstance(axes, int):
             axes = (axes,)
-        axes = tuple(axes) if axes is not None else None
-        dev = self.device.kind
-        if dev == "naive":
-            return Tensor._wrap(
-                nb.reduce(kind, self._impl, axes, keepdims), self.device
-            )
-        if dev == "eager":
-            kernel = {"sum": "reduce_sum", "mean": "reduce_mean", "max": "reduce_max"}[
-                kind
-            ]
-            result = self.device.dispatcher.dispatch(
-                KERNELS[kernel], (self._impl, axes, keepdims)
-            )
-            return Tensor._wrap(result, self.device)
-        from repro.hlo import shapes as si
-        from repro.hlo.ir import Shape
-
-        out = si.infer_reduce(Shape(self.shape), axes, keepdims)
-        norm_axes = (
-            tuple(a % self.rank for a in axes) if axes is not None else None
-        )
-        node = self.device.runtime.record(
-            "reduce",
-            [self._impl],
-            out.dims,
-            attrs={"kind": kind, "axes": norm_axes, "keepdims": keepdims},
-        )
-        return Tensor._wrap(node, self.device)
+        axes = normalize_axes(axes, self.shape)
+        return self._apply("reduce", (self,), kind=kind, axes=axes, keepdims=keepdims)
 
     def reshaped(self, dims: Sequence[int]) -> "Tensor":
         dims = tuple(dims)
@@ -460,58 +311,16 @@ class Tensor:
                 if d != -1:
                     known *= d
             dims = tuple(self.size // known if d == -1 else d for d in dims)
-        dev = self.device.kind
-        if dev == "naive":
-            return Tensor._wrap(nb.reshape(self._impl, dims), self.device)
-        if dev == "eager":
-            result = self.device.dispatcher.dispatch(
-                KERNELS["reshape"], (self._impl, dims)
-            )
-            return Tensor._wrap(result, self.device)
-        from repro.hlo import shapes as si
-        from repro.hlo.ir import Shape
-
-        out = si.infer_reshape(Shape(self.shape), dims)
-        node = self.device.runtime.record(
-            "reshape", [self._impl], out.dims, attrs={"dims": dims}
-        )
-        return Tensor._wrap(node, self.device)
+        return self._apply("reshape", (self,), dims=dims)
 
     def transposed(self, perm: Sequence[int]) -> "Tensor":
-        perm = tuple(perm)
-        dev = self.device.kind
-        if dev == "naive":
-            return Tensor._wrap(nb.transpose(self._impl, perm), self.device)
-        if dev == "eager":
-            result = self.device.dispatcher.dispatch(
-                KERNELS["transpose"], (self._impl, perm)
-            )
-            return Tensor._wrap(result, self.device)
-        from repro.hlo import shapes as si
-        from repro.hlo.ir import Shape
-
-        out = si.infer_transpose(Shape(self.shape), perm)
-        node = self.device.runtime.record(
-            "transpose", [self._impl], out.dims, attrs={"perm": perm}
-        )
-        return Tensor._wrap(node, self.device)
+        return self._apply("transpose", (self,), perm=tuple(perm))
 
     def broadcast_to(self, dims: Sequence[int]) -> "Tensor":
         dims = tuple(dims)
         if self.shape == dims:
             return self
-        dev = self.device.kind
-        if dev == "naive":
-            return Tensor._wrap(nb.broadcast_to(self._impl, dims), self.device)
-        if dev == "eager":
-            result = self.device.dispatcher.dispatch(
-                KERNELS["broadcast_to"], (self._impl, dims)
-            )
-            return Tensor._wrap(np.ascontiguousarray(result), self.device)
-        node = self.device.runtime.record(
-            "broadcast_to", [self._impl], dims, attrs={"dims": dims}
-        )
-        return Tensor._wrap(node, self.device)
+        return self._apply("broadcast_to", (self,), dims=dims)
 
     def sum_to_match(self, target_shape) -> "Tensor":
         """Reduce broadcast dimensions so this tensor has ``target_shape``.
@@ -521,10 +330,6 @@ class Tensor:
         target_shape = tuple(target_shape)
         if self.shape == target_shape:
             return self
-        if self.device.kind == "naive":
-            return Tensor._wrap(
-                nb.sum_to_match(self._impl, target_shape), self.device
-            )
         rank = self.rank
         lead = rank - len(target_shape)
         axes = tuple(range(lead)) + tuple(
@@ -561,44 +366,16 @@ class Tensor:
             i += n
         if not 0 <= i < n:
             raise IndexError(f"index {i} out of range for axis of size {n}")
-        kind = self.device.kind
-        if kind == "naive":
-            return Tensor._wrap(nb.index_row(self._impl, i), self.device)
-        row = self._slice_rows(i, i + 1)
-        return row.reshaped(self.shape[1:])
+        return self._slice_rows(i, i + 1).reshaped(self.shape[1:])
 
     def _slice_rows(self, start: int, stop: int) -> "Tensor":
-        stop = max(stop, start)
-        kind = self.device.kind
-        if kind == "naive":
-            return Tensor._wrap(nb.slice_rows(self._impl, start, stop), self.device)
         starts = (start,) + (0,) * (self.rank - 1)
-        sizes = (stop - start,) + self.shape[1:]
-        if kind == "eager":
-            result = self.device.dispatcher.dispatch(
-                KERNELS["slice"], (self._impl, starts, sizes)
-            )
-            return Tensor._wrap(result, self.device)
-        node = self.device.runtime.record(
-            "slice", [self._impl], sizes, attrs={"starts": starts, "sizes": sizes}
-        )
-        return Tensor._wrap(node, self.device)
+        sizes = (max(stop - start, 0),) + self.shape[1:]
+        return self._apply("slice", (self,), starts=starts, sizes=sizes)
 
     def _pad_rows(self, before: int, after: int) -> "Tensor":
-        kind = self.device.kind
-        if kind == "naive":
-            return Tensor._wrap(nb.pad_rows(self._impl, before, after), self.device)
         paddings = ((before, after),) + ((0, 0),) * (self.rank - 1)
-        out_shape = (self.shape[0] + before + after,) + self.shape[1:]
-        if kind == "eager":
-            result = self.device.dispatcher.dispatch(
-                KERNELS["pad"], (self._impl, paddings)
-            )
-            return Tensor._wrap(result, self.device)
-        node = self.device.runtime.record(
-            "pad", [self._impl], out_shape, attrs={"paddings": paddings}
-        )
-        return Tensor._wrap(node, self.device)
+        return self._apply("pad", (self,), paddings=paddings)
 
     def __slice_vjp__(self, start, stop):
         """Pullback of ``self[start:stop]``: zero-pad the cotangent back."""

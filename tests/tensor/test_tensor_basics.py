@@ -131,9 +131,9 @@ def test_sum_to_match(device):
     np.testing.assert_allclose(reduced.numpy(), [3, 3, 3, 3])
     same = x.sum_to_match((3, 4))
     np.testing.assert_allclose(same.numpy(), np.ones((3, 4)))
-    x2 = t(np.ones((3, 1), np.float32), device)
-    kept = (x + 0.0).sum_to_match((3, 1)) if device.kind != "naive" else x2
-    assert kept.shape[-1] == 1 or kept.shape == (3, 1)
+    kept = (x + 0.0).sum_to_match((3, 1))
+    assert kept.shape == (3, 1)
+    np.testing.assert_allclose(kept.numpy(), [[4], [4], [4]])
 
 
 def test_item_and_bool(device):
@@ -196,3 +196,37 @@ def test_backends_agree_on_composite_program():
     results = {name: program(factory()) for name, factory in DEVICES.items()}
     assert results["naive"] == pytest.approx(results["eager"], rel=1e-5)
     assert results["lazy"] == pytest.approx(results["eager"], rel=1e-5)
+
+
+@pytest.mark.parametrize("reduction", ["sum", "mean", "max"])
+def test_bad_reduce_axes_rejected_at_the_call(device, reduction):
+    """An out-of-range or repeated axis is a ShapeError where the reduction
+    is written, on every backend — not a silent wrap to another axis, and
+    not a kernel error at materialization."""
+    x = t(np.arange(6, dtype=np.float32).reshape(2, 3), device)
+    reduce = getattr(x, reduction)
+    for axes in [(5,), (-3,)]:
+        with pytest.raises(ShapeError, match=r"out of range for shape \(2, 3\)"):
+            reduce(axes=axes)
+    for axes in [(0, 0), (1, -1)]:
+        with pytest.raises(ShapeError, match="duplicate reduce axes"):
+            reduce(axes=axes)
+    expected = getattr(np, reduction)(x.numpy(), axis=1)
+    np.testing.assert_allclose(reduce(axes=(-1,)).numpy(), expected)
+
+
+def test_observed_mask_is_float32_on_every_backend(device):
+    x = t([[0.5, 1.5, 2.5], [1.5, 3.0, -1.0]], device)
+    for mask, reference in [
+        (x > 1.5, x.numpy() > 1.5),
+        (x >= 1.5, x.numpy() >= 1.5),
+        (x < 1.5, x.numpy() < 1.5),
+        (x <= 1.5, x.numpy() <= 1.5),
+    ]:
+        observed = mask.numpy()
+        assert observed.dtype == np.float32
+        np.testing.assert_array_equal(observed, reference.astype(np.float32))
+    mask = x > 1.5
+    np.testing.assert_allclose(mask.select(x, 0.0).numpy(), [[0, 0, 2.5], [0, 3, 0]])
+    assert mask.sum().item() == 2.0
+    np.testing.assert_allclose((mask * x).numpy(), [[0, 0, 2.5], [0, 3, 0]])
