@@ -1,10 +1,11 @@
 """Trace canonicalization: the static cache key of a LazyTensor fragment.
 
 Section 3.4 stakes LazyTensor's performance on per-step traces hashing
-identically so the trace-hash → executable cache hits.  The dynamic hash is
-the HLO module fingerprint computed *after* lowering; this module computes
-an equivalent key directly on the :class:`TraceNode` DAG, **before**
-lowering, so cache behavior can be proven statically:
+identically so the trace-hash → executable cache hits.  The runtime keys
+that cache on the text :func:`repro.tensor.lazy_backend.fragment_key`
+computes on the :class:`TraceNode` DAG, **before** lowering; this module
+reads the same text (plus its constant sites and skeleton) off live or
+snapshotted fragments, so cache behavior can be proven statically:
 
 * node identities are alpha-renamed to their position in
   :func:`repro.tensor.lazy_backend.fragment_order`, the traversal lowering
@@ -12,8 +13,8 @@ lowering, so cache behavior can be proven statically:
 * sources are abstracted to parameters (shape + dtype only — the values a
   tensor holds never affect which executable runs);
 * trace-embedded ``constant`` nodes keep their **values**, because HLO
-  prints literals into the module text the compiler cache keys on — this
-  is precisely why a step-volatile constant causes a retrace storm.
+  embeds literals in the executable — this is precisely why a
+  step-volatile constant causes a retrace storm.
 
 Two fragments with equal canonical keys lower to alpha-equivalent HLO
 modules and therefore share one compiled executable; the self-check sweep
@@ -23,11 +24,15 @@ runtime's dynamic counters.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.tensor.lazy_backend import fragment_order
+from repro.tensor.lazy_backend import (
+    constant_line,
+    fragment_key,
+    key_digest,
+    shape_text,
+)
 
 
 @dataclass(frozen=True)
@@ -59,66 +64,38 @@ class CanonicalTrace:
     @property
     def digest(self) -> str:
         """Short stable hash of the key, for display."""
-        return hashlib.sha256(self.key.encode()).hexdigest()[:12]
+        return key_digest(self.key)
 
     @property
     def skeleton_digest(self) -> str:
-        return hashlib.sha256(self.skeleton.encode()).hexdigest()[:12]
-
-
-def _shape_text(shape: tuple, dtype: str) -> str:
-    dims = "x".join(map(str, shape))
-    return f"{dtype}[{dims}]"
-
-
-def _attr_text(attrs: dict) -> str:
-    if not attrs:
-        return ""
-    inner = ", ".join(f"{k}={attrs[k]!r}" for k in sorted(attrs))
-    return " {" + inner + "}"
+        return key_digest(self.skeleton)
 
 
 def canonicalize(roots: Sequence) -> CanonicalTrace:
     """Canonicalize the fragment materializing ``roots`` (in cut order).
 
     Accepts live :class:`TraceNode` roots or captured
-    :class:`~repro.analysis.tracing.capture.SnapNode` roots alike.
+    :class:`~repro.analysis.tracing.capture.SnapNode` roots alike.  The
+    ``key`` is the runtime's own cache key text
+    (:func:`repro.tensor.lazy_backend.fragment_key`); the rest is read
+    off it.
     """
-    roots = list(roots)
-    order = fragment_order(roots)
-    index = {node.id: position for position, node in enumerate(order)}
-
-    lines: list[str] = []
-    skeleton_lines: list[str] = []
+    key, order = fragment_key(list(roots))
+    lines = key.split("\n")
+    skeleton_lines = list(lines)
     constants: list[ConstantSite] = []
     n_params = 0
     n_ops = 0
     for position, node in enumerate(order):
-        shape = _shape_text(node.shape, node.dtype)
         if node.is_source:
-            text = f"%{position} = param[{n_params}] {shape}"
             n_params += 1
-            lines.append(text)
-            skeleton_lines.append(text)
         elif node.op == "constant":
-            value = float(node.attrs["value"])
-            constants.append(ConstantSite(position, value))
-            lines.append(f"%{position} = constant({value!r}) {shape}")
-            skeleton_lines.append(f"%{position} = constant(·) {shape}")
+            constants.append(ConstantSite(position, float(node.attrs["value"])))
+            skeleton_lines[position] = constant_line(position, "·", shape_text(node))
         else:
             n_ops += 1
-            operands = ", ".join(f"%{index[i.id]}" for i in node.inputs)
-            text = (
-                f"%{position} = {node.op}({operands}) {shape}"
-                f"{_attr_text(node.attrs)}"
-            )
-            lines.append(text)
-            skeleton_lines.append(text)
-    root_line = "roots(" + ", ".join(f"%{index[r.id]}" for r in roots) + ")"
-    lines.append(root_line)
-    skeleton_lines.append(root_line)
     return CanonicalTrace(
-        key="\n".join(lines),
+        key=key,
         skeleton="\n".join(skeleton_lines),
         lines=tuple(lines),
         constants=tuple(constants),

@@ -1,9 +1,11 @@
 """HLO backend: NumPy codegen, executables, and the compilation cache.
 
-``compile_module`` optimizes the module, emits an :class:`Executable`, and
-memoizes it by the module's canonical fingerprint — the reproduction of
-the XLA-program cache of Section 3.4 ("each unique trace is only compiled
-by XLA once").
+``compile_keyed`` memoizes an optimized :class:`Executable` under a
+caller-supplied canonical key and lowers the module only on a miss — the
+reproduction of the XLA-program cache of Section 3.4 ("each unique trace
+is only compiled by XLA once").  The lazy runtime keys it on the canonical
+trace text, so a warm step never builds or prints HLO;
+``compile_module`` keys it on a module's fingerprint.
 
 :class:`AsyncCompiler` is the concurrent face of that cache: a cache miss
 hands compilation to a background worker and returns immediately, so the
@@ -15,6 +17,7 @@ replicas race on the same fresh trace, exactly one compile runs.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -223,34 +226,26 @@ def _narrow_accum_reduce(x, axes, keepdims: bool, kind: str, dtype: str):
 
 def _instruction_cost(inst: HloInstruction, in_shapes) -> tuple[float, float]:
     """(flops, traffic bytes) of one instruction for the device model."""
+    op = inst.opcode
     out_elems = inst.shape.num_elements
-    per_element = {
-        "exponential": 10.0,
-        "log": 10.0,
-        "tanh": 10.0,
-        "logistic": 10.0,
-        "power": 10.0,
-        "sqrt": 4.0,
-        "rsqrt": 4.0,
-    }.get(inst.opcode, 1.0)
-    if inst.opcode == "dot":
+    if op == "dot":
         k = in_shapes[0][-1] if in_shapes[0] else 1
         flops = 2.0 * out_elems * k
-    elif inst.opcode in ("convolution", "conv_grad_input", "conv_grad_filter"):
-        if inst.opcode == "convolution":
-            kh, kw, cin, _ = in_shapes[1]
-        elif inst.opcode == "conv_grad_input":
-            kh, kw, cin, _ = in_shapes[1]
-        else:
-            kh, kw, cin, _ = inst.attrs["filter_dims"]
+    elif op in ("convolution", "conv_grad_input", "conv_grad_filter"):
+        kh, kw, cin, _ = (
+            inst.attrs["filter_dims"] if op == "conv_grad_filter" else in_shapes[1]
+        )
         flops = 2.0 * out_elems * kh * kw * cin
-    elif inst.opcode == "reduce":
-        flops = float(np.prod(in_shapes[0])) if in_shapes[0] else 1.0
+    elif op == "reduce":
+        flops = float(math.prod(in_shapes[0]))
+    elif op in ("exponential", "log", "tanh", "logistic", "power"):
+        flops = 10.0 * out_elems
+    elif op in ("sqrt", "rsqrt"):
+        flops = 4.0 * out_elems
     else:
-        flops = per_element * out_elems
-    traffic = (out_elems + sum(int(np.prod(s)) if s else 1 for s in in_shapes)) * (
-        ITEMSIZE
-    )
+        flops = 1.0 * out_elems
+    # math.prod(()) == 1: a scalar operand moves one element.
+    traffic = (out_elems + sum(math.prod(s) for s in in_shapes)) * ITEMSIZE
     return flops, traffic
 
 
@@ -387,10 +382,11 @@ class Executable:
         return values[inner.root.id]
 
 
-#: The XLA-program cache: canonical module text -> Executable.
+#: The XLA-program cache: canonical key (trace text or module
+#: fingerprint) -> Executable.
 _CACHE: dict[str, Executable] = {}
 
-#: Modules currently being compiled, keyed by fingerprint: the second
+#: Modules currently being compiled, keyed like ``_CACHE``: the second
 #: thread to ask for an in-flight key blocks on the first one's Future
 #: instead of compiling again (single-flight, synchronous face).
 _INFLIGHT: dict[str, Future] = {}
@@ -444,15 +440,29 @@ def compile_module(
     fuse: bool = True,
     codegen: bool = False,
 ) -> Executable:
-    """Optimize + codegen, memoized by fingerprint.
+    """Optimize + codegen, memoized by fingerprint."""
+    if not use_cache:
+        return _codegen(module, fuse, codegen=codegen)
+    return compile_keyed(fingerprint(module), lambda: module, fuse, codegen)
+
+
+def compile_keyed(
+    key: str,
+    lower: Callable[[], HloModule],
+    fuse: bool = True,
+    codegen: bool = False,
+) -> Executable:
+    """The executable cached under ``key``; ``lower()`` builds its module
+    only on a miss.
+
+    ``key`` must determine the module up to value names: the lazy runtime
+    passes the full canonical trace text (``lazy_backend.fragment_key``),
+    ``compile_module`` the module's fingerprint.
 
     Thread-safe and single-flight: concurrent replicas materializing the
     same fresh trace produce exactly one compile — the first caller runs
     it, the rest block on its result and count as cache hits.
     """
-    if not use_cache:
-        return _codegen(module, fuse, codegen=codegen)
-    key = fingerprint(module)
     if codegen:
         # Certified-codegen executables live under their own keyspace so a
         # mixed workload never hands an interpreted caller a generated step
@@ -476,7 +486,7 @@ def compile_module(
             STATS.cache_hits += 1
         return executable
     try:
-        executable = _codegen(module, fuse, codegen=codegen, key=key)
+        executable = _codegen(lower(), fuse, codegen=codegen, key=key)
     except BaseException as exc:
         with _LOCK:
             _INFLIGHT.pop(key, None)
@@ -500,7 +510,8 @@ def cache_size() -> int:
 
 
 def cache_keys() -> tuple[str, ...]:
-    """Canonical fingerprints currently cached (insertion order).
+    """Canonical keys currently cached (insertion order): trace texts from
+    the lazy runtime, fingerprints from ``compile_module``.
 
     The static trace-stability analyzer cross-checks its predicted
     distinct-executable count against the growth of this set.
@@ -535,8 +546,8 @@ class AsyncCompileStats:
 class AsyncCompiler:
     """Background JIT with a single-flight, key-addressed executable cache.
 
-    Keys are *canonical trace keys* (``repro.analysis.tracing.canonical``)
-    computed before lowering, so a lookup costs no HLO printing.  A miss
+    Keys are full canonical trace texts (``lazy_backend.fragment_key``)
+    computed before lowering, so a lookup builds no HLO.  A miss
     never blocks: :meth:`submit` schedules the build on a worker thread
     and returns; the caller executes its fragment op-by-op in the meantime
     and finds the executable ready on a later step.
@@ -651,5 +662,5 @@ class AsyncCompiler:
 
 
 #: The process-wide async compiler shared by replicas that don't bring
-#: their own (mirrors the global fingerprint cache above).
+#: their own (mirrors the global synchronous cache above).
 ASYNC_COMPILER = AsyncCompiler()

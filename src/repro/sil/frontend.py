@@ -38,6 +38,7 @@ import ast
 import builtins
 import inspect
 import textwrap
+import threading
 import types
 from typing import Optional
 
@@ -93,20 +94,81 @@ def register_method(method_name: str, primitive_name: str) -> None:
     METHOD_TABLE[method_name] = primitive_name
 
 
-#: Functions already lowered (or being lowered, for recursion support).
+#: Functions lowered and verified: shared by every thread.
 _LOWERING_CACHE: dict[object, ir.Function] = {}
+
+#: Published groups of mutually recursive Functions, by member set: the
+#: first thread to claim a set decides which Functions it publishes.
+_CALL_CYCLES: dict[frozenset, dict] = {}
+
+
+class _OpenLowerings(threading.local):
+    """This thread's lowerings that are not yet published (Tarjan's stack).
+
+    ``order`` holds ``(pyfunc, Function)`` in discovery order, indexed by
+    ``position``: the lowerings in progress, so recursion resolves to
+    them, and finished ones that call back into one of those.
+    ``low[i]`` is the lowest position the i-th lowering in progress has
+    reached; a lowering that reaches none below its own closes a group.
+    """
+
+    def __init__(self):
+        self.order: list[tuple[object, ir.Function]] = []
+        self.position: dict[object, int] = {}
+        self.low: list[int] = []
+
+
+_OPEN = _OpenLowerings()
 
 
 def lower_function(pyfunc) -> ir.Function:
     """Lower ``pyfunc`` to a verified SIL :class:`~repro.sil.ir.Function`.
 
     Results are cached per function object; recursive functions resolve
-    self-references to the in-progress Function.
+    self-references to the in-progress Function.  Other threads see a
+    Function only once it, and every unpublished Function it calls, has
+    verified: a function outside any call cycle is published alone, the
+    members of a mutually recursive cycle together.  A racing thread
+    either finds the published Functions or lowers its own copies, and
+    the first to publish wins, so every caller gets one Function per
+    ``pyfunc`` and a published Function only calls published ones.
     """
     cached = _LOWERING_CACHE.get(pyfunc)
     if cached is not None:
         return cached
+    position = _OPEN.position.get(pyfunc)
+    if position is not None:
+        # A call back into a lowering still open on this thread.
+        _OPEN.low[-1] = min(_OPEN.low[-1], position)
+        return _OPEN.order[position][1]
+    return _lower_new(pyfunc)
 
+
+def _close(position: int) -> dict:
+    """Remove and return this thread's open lowerings from ``position`` on."""
+    group = dict(_OPEN.order[position:])
+    del _OPEN.order[position:]
+    for pyfunc in group:
+        del _OPEN.position[pyfunc]
+    return group
+
+
+def _publish(group: dict) -> dict:
+    """Publish a closed group of verified Functions; return the published
+    ones, which are another thread's if it published first."""
+    if len(group) == 1:
+        ((pyfunc, func),) = group.items()
+        return {pyfunc: _LOWERING_CACHE.setdefault(pyfunc, func)}
+    # Every thread closes the same member set, so one claim decides the
+    # cycle; ``update`` then inserts all of it in one step (no Python code
+    # runs inside it), and rewriting a key with its winner is harmless.
+    group = _CALL_CYCLES.setdefault(frozenset(group), group)
+    _LOWERING_CACHE.update(group)
+    return group
+
+
+def _lower_new(pyfunc) -> ir.Function:
+    """Lower and verify ``pyfunc`` as this thread's newest open lowering."""
     filename = getattr(pyfunc.__code__, "co_filename", "<unknown>")
     try:
         source = textwrap.dedent(inspect.getsource(pyfunc))
@@ -128,18 +190,29 @@ def lower_function(pyfunc) -> ir.Function:
     params = [arg.arg for arg in a.args]
     func = ir.Function(name, params)
     func.pyfunc = pyfunc
-    _LOWERING_CACHE[pyfunc] = func
+    position = len(_OPEN.order)
+    _OPEN.order.append((pyfunc, func))
+    _OPEN.position[pyfunc] = position
+    _OPEN.low.append(position)
     try:
         Lowerer(func, pyfunc, filename).run(fdef)
         verify(func)
-    except Exception:
-        del _LOWERING_CACHE[pyfunc]
+    except BaseException:
+        # Everything lowered since may call the unfinished ``func``.
+        _close(position)
         raise
-    return func
+    finally:
+        low = _OPEN.low.pop()
+    if low < position:
+        # In a cycle through a caller still open: published with it.
+        _OPEN.low[-1] = min(_OPEN.low[-1], low)
+        return func
+    return _publish(_close(position))[pyfunc]
 
 
 def clear_lowering_cache() -> None:
     _LOWERING_CACHE.clear()
+    _CALL_CYCLES.clear()
 
 
 def lowering_cache_size() -> int:

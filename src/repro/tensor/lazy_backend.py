@@ -8,7 +8,8 @@ trace fragment is lowered to HLO, JIT-compiled (with the trace-hash →
 executable cache of Section 3.4), and run.  What an op records, how it
 lowers and what evaluates it on an async-compile miss are all its row of
 :mod:`repro.tensor.traceops`; :func:`fragment_order` is the one traversal
-of a fragment.
+of a fragment, and :func:`fragment_key` its canonical text: a warm step
+looks that text up and runs, lowering nothing.
 
 Because tensors that already hold data enter new traces as *parameters*,
 the per-step trace of a training loop hashes identically across steps and
@@ -18,6 +19,7 @@ each iteration — precisely the cost structure the paper describes.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import weakref
 from typing import Optional, Sequence
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro.hlo.builder import HloBuilder
 from repro.hlo.compiler import STATS as COMPILER_STATS
-from repro.hlo.compiler import AsyncCompiler, compile_module
+from repro.hlo.compiler import AsyncCompiler, compile_keyed
 from repro.hlo.ir import Shape
 from repro.runtime.costmodel import EngineProfile
 from repro.runtime.device import SimDevice
@@ -260,33 +262,31 @@ class LazyRuntime:
             observer(targets, reason)
         from repro.runtime import memory
 
-        # Inside a trace_attribution scope the run's transient peak is
-        # recorded against the trace's canonical cache key — the dynamic
-        # oracle the static memory planner cross-checks its certificates
-        # against.  The key must be computed *before* execution consumes
-        # the DAG, which is why attribute_trace takes a thunk and calls it
-        # eagerly (and never calls it when attribution is off).
-        def _trace_key() -> str:
-            from repro.analysis.tracing.canonical import canonicalize
+        # The canonical key is computed once, on the intact DAG (execution
+        # consumes it), and addresses the compile cache.  Inside a
+        # trace_attribution scope the run's transient peak is also recorded
+        # against its digest — the dynamic oracle the static memory planner
+        # cross-checks its certificates against.
+        # A compiled fragment's parameters are its sources in walk order.
+        key, order = fragment_key(targets)
+        args = [node.data for node in order if node.is_source]
+        with memory.attribute_trace(lambda: key_digest(key)):
+            self._execute_fragment(targets, key, args)
 
-            return canonicalize(targets).digest
-
-        with memory.attribute_trace(_trace_key):
-            self._execute_fragment(targets)
-
-    def _execute_fragment(self, targets: list[TraceNode]) -> None:
+    def _execute_fragment(self, targets: list[TraceNode], key: str, args: list) -> None:
         if self.async_compiler is not None:
-            self._execute_async(targets)
+            self._execute_async(targets, key, args)
             return
-        module, param_nodes = _lower_to_hlo(targets)
         if self.capture_traces:
             from repro.hlo.printer import print_module
 
-            self.captured_traces.append(
-                (print_module(module), [p.data for p in param_nodes])
-            )
+            module, _ = _lower_to_hlo(targets)
+            self.captured_traces.append((print_module(module), args))
+            lower = lambda: module  # noqa: E731
+        else:
+            lower = lambda: _lower_to_hlo(targets)[0]  # noqa: E731
         compiles_before = COMPILER_STATS.compiles
-        executable = compile_module(module, codegen=self.codegen)
+        executable = compile_keyed(key, lower, codegen=self.codegen)
         if COMPILER_STATS.compiles > compiles_before:
             # A genuinely new trace: pay JIT compilation.
             self.compiles_triggered += 1
@@ -294,34 +294,24 @@ class LazyRuntime:
                 self.engine.compile_cost_base
                 + self.engine.compile_cost_per_op * len(executable.order)
             )
-        args = [p.data for p in param_nodes]
         self.sim.busy_until = max(self.sim.busy_until, self.host_time)
         results = executable.run(args, device=self.sim, host_time=self.host_time)
         self._consume(targets, results)
 
-    def _execute_async(self, targets: list[TraceNode]) -> None:
+    def _execute_async(self, targets: list[TraceNode], key: str, args: list) -> None:
         """Materialize without ever stalling the host on the JIT.
 
-        The canonical trace key (computed *before* lowering, on the intact
-        DAG — ``repro.analysis.tracing.canonical``) addresses the async
-        cache.  A hit runs the compiled executable; a miss kicks
+        The canonical trace key addresses the async cache.  A hit runs the
+        compiled executable on the fragment's sources; a miss kicks
         compilation to the background worker and executes this fragment
         op-by-op eagerly, bit-identically to the compiled path.
         """
-        # The canonicalizer lives in the analysis layer but depends only on
-        # the TraceNode duck type; import lazily to keep layering acyclic.
-        from repro.analysis.tracing.canonical import canonicalize
-
-        key = canonicalize(targets).digest
-        if self.codegen:
-            # Separate keyspace: a shared AsyncCompiler must never hand an
-            # interpreted replica a generated step function or vice versa.
-            key = "codegen:" + key
-        executable = self.async_compiler.lookup(key)
+        # Separate keyspace: a shared AsyncCompiler must never hand an
+        # interpreted replica a generated step function or vice versa.
+        async_key = "codegen:" + key if self.codegen else key
+        executable = self.async_compiler.lookup(async_key)
         if executable is not None:
             self.async_compile_hits += 1
-            _, param_nodes = _lower_to_hlo(targets)
-            args = [p.data for p in param_nodes]
             self.sim.busy_until = max(self.sim.busy_until, self.host_time)
             results = executable.run(
                 args, device=self.sim, host_time=self.host_time
@@ -332,7 +322,8 @@ class LazyRuntime:
         # in the background, run this step op-by-op.
         module, _ = _lower_to_hlo(targets)
         self.async_compiler.submit(
-            key, lambda: compile_module(module, codegen=self.codegen)
+            async_key,
+            lambda: compile_keyed(key, lambda: module, codegen=self.codegen),
         )
         self.async_compiler.note_fallback()
         self.async_fallback_steps += 1
@@ -420,6 +411,60 @@ def fragment_order(roots: Sequence) -> list:
             if operand.id not in seen:
                 stack.append((operand, False))
     return order
+
+
+def fragment_key(roots: Sequence) -> tuple[str, list]:
+    """The canonical key text of the fragment cut at ``roots``, and the
+    :func:`fragment_order` walk it was read from.
+
+    Nodes are alpha-renamed to their walk position, sources abstracted to
+    ``param[k] dtype[shape]`` (the values a tensor holds never choose an
+    executable), and constants keep the ``repr`` of their value, because
+    HLO embeds literals (``0.0`` and ``-0.0`` are two executables).  Equal
+    texts lower to alpha-equivalent modules, so the full text — never a
+    digest of it — keys the compile caches, and
+    ``repro.analysis.tracing.canonicalize`` builds its ``key`` from it.
+    Accepts any node with the TraceNode interface (snapshots included).
+    """
+    order = fragment_order(roots)
+    index: dict[int, int] = {}
+    lines: list[str] = []
+    n_params = 0
+    for position, node in enumerate(order):
+        index[node.id] = position
+        shape = shape_text(node)
+        if node.is_source:
+            lines.append(f"%{position} = param[{n_params}] {shape}")
+            n_params += 1
+        elif node.op == "constant":
+            value = float(node.attrs["value"])
+            lines.append(constant_line(position, repr(value), shape))
+        else:
+            operands = ", ".join([f"%{index[i.id]}" for i in node.inputs])
+            line = f"%{position} = {node.op}({operands}) {shape}"
+            attrs = node.attrs
+            if attrs:
+                line += " {" + ", ".join([f"{k}={attrs[k]!r}" for k in sorted(attrs)]) + "}"
+            lines.append(line)
+    lines.append("roots(" + ", ".join([f"%{index[r.id]}" for r in roots]) + ")")
+    return "\n".join(lines), order
+
+
+def shape_text(node) -> str:
+    """How a key line spells a node's type: ``dtype[d0xd1...]``."""
+    return f"{node.dtype}[{'x'.join(map(str, node.shape))}]"
+
+
+def constant_line(position: int, value_text: str, shape: str) -> str:
+    """The key line of a trace-embedded literal; the static skeleton writes
+    it with the value abstracted away."""
+    return f"%{position} = constant({value_text}) {shape}"
+
+
+def key_digest(key: str) -> str:
+    """Short stable hash of a canonical key, for display and per-trace
+    reports (48 bits: never a cache key)."""
+    return hashlib.sha256(key.encode()).hexdigest()[:12]
 
 
 def _lower_to_hlo(targets: list[TraceNode]):

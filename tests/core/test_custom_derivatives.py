@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import derivative, differentiable, gradient, jvp, vjp
 from repro.errors import DifferentiabilityError
-from repro.sil.primitives import primitive
+from repro.sil.primitives import PRIMITIVES, primitive
 
 
 def test_custom_vjp_for_new_primitive():
@@ -107,7 +107,12 @@ def test_inactive_nondifferentiable_calls_are_fine():
         offset = clock()  # not varied: no derivative required
         return x * 2.0 + offset * 0.0
 
-    assert gradient(f, 1.0) == pytest.approx(2.0)
+    try:
+        assert gradient(f, 1.0) == pytest.approx(2.0)
+    finally:
+        # A nullary primitive left registered would fail the self-check's
+        # every-primitive sweep in any later test.
+        del PRIMITIVES["clock_test"]
 
 
 def test_decorated_function_diagnoses_eagerly():
