@@ -23,7 +23,6 @@ import numpy as np
 from repro.data import synthetic_cifar10
 from repro.experiments.common import Table, fmt_throughput
 from repro.frameworks import (
-    GraphInterpreterEngine,
     OpByOpEngine,
     capture_step_program,
 )
@@ -103,9 +102,9 @@ def run_table3(workload: Workload = SCALED_WORKLOAD) -> Table:
     torch_time = OpByOpEngine(program, TORCH_LIKE, GTX_1080).steady_state_step_time(
         measure=workload.steps
     )
-    tf_time = GraphInterpreterEngine(
-        program, TF_GRAPH, GTX_1080
-    ).steady_state_step_time(measure=workload.steps)
+    tf_time = OpByOpEngine(program, TF_GRAPH, GTX_1080).steady_state_step_time(
+        measure=workload.steps
+    )
     eager_time = measure_real_backend("eager", S4TF_EAGER, workload)
     lazy_time = measure_real_backend("lazy", S4TF_LAZY, workload)
 

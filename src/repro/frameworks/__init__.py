@@ -9,7 +9,6 @@ from repro.frameworks.graph_extraction import (
 )
 from repro.frameworks.engines import (
     FusedJitEngine,
-    GraphInterpreterEngine,
     OpByOpEngine,
     StepTiming,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "StepProgram",
     "capture_step_program",
     "FusedJitEngine",
-    "GraphInterpreterEngine",
     "OpByOpEngine",
     "StepTiming",
     "ALL_PLATFORMS",

@@ -17,8 +17,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.hlo.parser import parse_module
+from repro.hlo.printer import print_module
 from repro.runtime.costmodel import S4TF_LAZY, DeviceProfile
 from repro.tensor.device import Device
+from repro.tensor.lazy_backend import _lower_to_hlo
 
 
 @dataclass
@@ -53,9 +55,15 @@ def capture_step_program(
     automatic barrier provides exactly that).
     """
     device = Device("lazy", profile, S4TF_LAZY)
-    device.runtime.capture_traces = True
+    traces: list[tuple[str, list]] = []
+
+    def capture(targets, reason) -> None:
+        # Every fragment's pre-optimization text and parameter values.
+        module, params = _lower_to_hlo(targets)
+        traces.append((print_module(module), [node.data for node in params]))
+
+    device.runtime.fragment_observers.append(capture)
     run_one_step(device)
-    traces = device.runtime.captured_traces
     if not traces:
         raise RuntimeError("the step function never materialized a trace")
     # The step's barrier fragment is the largest captured trace.

@@ -2,17 +2,18 @@
 
 Each engine models one runtime discipline from the paper's comparisons:
 
-* :class:`OpByOpEngine` — define-by-run eager execution: the host pays a
-  per-op dispatch cost before each kernel launch and runs ahead of the
-  device (PyTorch-style with a fast core, TF-Eager-style with a heavier
-  one, mobile interpreters with very heavy ones).
+* :class:`OpByOpEngine` — unfused op-by-op execution: the host pays a
+  per-op cost before each kernel launch and runs ahead of the device.
+  Define-by-run eager execution (PyTorch-style with a fast core,
+  TF-Eager-style with a heavier one, mobile interpreters with very heavy
+  ones) and a pre-built graph walked node by node (classic TF graph
+  executor / TF-Mobile, TFLite's standard-op path: no per-step tracing,
+  but per-node overhead and no fusion) are this engine under different
+  profiles.
 * :class:`FusedJitEngine` — whole-program compilation: pay JIT once (per
   program/shape), then run the fused executable with only a small fixed
   per-step entry cost (XLA-backed TF graphs, JAX ``jit``, TFLite's fused
   custom op).
-* :class:`GraphInterpreterEngine` — a pre-built graph walked node-by-node
-  (classic TF graph executor / TF-Mobile, TFLite's standard-op path): no
-  per-step tracing, but per-node execution overhead and no fusion.
 
 Numerics are identical across engines (same kernels, same program).
 """
@@ -82,7 +83,12 @@ class _EngineBase:
 
 
 class OpByOpEngine(_EngineBase):
-    """Eager define-by-run: per-op host dispatch, unfused kernels."""
+    """Unfused, op by op: the host pays a per-op cost for every kernel.
+
+    Define-by-run eager dispatch and a pre-built graph walked node by node
+    differ only in the engine profile that prices each op (``TORCH_LIKE``
+    vs ``TF_GRAPH``, say); neither fuses.
+    """
 
     def __init__(self, program, engine, device_profile, efficiency=1.0):
         super().__init__(program, engine, device_profile, efficiency)
@@ -94,25 +100,6 @@ class OpByOpEngine(_EngineBase):
         start_host = self.host_time
         # The host dispatches each op, paying the framework's per-op cost;
         # kernels queue asynchronously behind the dispatch front.
-        self.host_time += self.engine.per_step_overhead
-        self.host_time += self.engine.per_op_overhead * self.executable.kernel_count
-        device_done = self._advance_device(self.executable, start_host)
-        self.steps_run += 1
-        elapsed = max(self.host_time, device_done)
-        return StepTiming(self.host_time - start_host, device_done, elapsed)
-
-
-class GraphInterpreterEngine(_EngineBase):
-    """Pre-built graph walked node-by-node (no tracing, no fusion)."""
-
-    def __init__(self, program, engine, device_profile, efficiency=1.0):
-        super().__init__(program, engine, device_profile, efficiency)
-        module = program.to_module()
-        optimize(module, fuse=False)
-        self.executable = Executable(module)
-
-    def step(self) -> StepTiming:
-        start_host = self.host_time
         self.host_time += self.engine.per_step_overhead
         self.host_time += self.engine.per_op_overhead * self.executable.kernel_count
         device_done = self._advance_device(self.executable, start_host)

@@ -5,11 +5,14 @@ user's program into an accelerator program compiled fully ahead of time.
 This module implements that approach as a partial evaluator over SIL:
 
 * the model and all configuration are **compile-time constants**;
-* tensor arguments are **abstract** (shape-only) values;
+* tensor arguments are **abstract**: Tensors whose storage is the HLO
+  instruction computing them, so nothing about their values is known;
 * concrete control flow (config `if`s, `for` loops over static layer
   lists) is evaluated away at extraction time;
-* every tensor operation encountered is emitted into an HLO graph, which
-  compiles to a single fused executable with *zero* per-step tracing cost.
+* every tensor operation encountered emits its row of
+  :mod:`repro.tensor.traceops` — the lowering LazyTensor compiles — into
+  one HLO graph, which compiles to a single fused executable with *zero*
+  per-step tracing cost.
 
 And it reproduces the approach's documented limitation: any branch or
 loop bound that depends on a *runtime tensor value* cannot be extracted —
@@ -32,23 +35,12 @@ from repro.sil import ir
 from repro.sil.frontend import lower_function
 from repro.sil.interp import Evaluator
 from repro.sil.primitives import Primitive
+from repro.tensor.tensor import Tensor
+from repro.tensor.traceops import TRACE_OPS
 
 
 class GraphExtractionError(ReproError):
     """The program cannot be compiled fully ahead of time."""
-
-
-class AbstractTensor:
-    """A shape-only stand-in for a runtime tensor during extraction."""
-
-    __slots__ = ("inst",)
-
-    def __init__(self, inst) -> None:
-        self.inst = inst  # the HLO instruction producing this value
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.inst.shape.dims
 
 
 class ExtractedProgram:
@@ -73,166 +65,67 @@ class ExtractedProgram:
         return self.executable.run(args, device=device, host_time=host_time)
 
 
-#: SIL primitive name -> HLO emission for abstract tensor operands.
-def _emit_binary(builder, op):
-    def emit(args):
-        a, b = (_as_hlo(builder, x) for x in args)
-        dims = np.broadcast_shapes(a.shape.dims, b.shape.dims)
-        return AbstractTensor(
-            builder.binary(op, builder.broadcast(a, dims), builder.broadcast(b, dims))
-        )
-
-    return emit
+#: Why a runtime tensor value defeats extraction, and what to use instead.
+_NOT_STATIC = (
+    "ahead-of-time extraction cannot slice it (Section 3.5) "
+    "— use the LazyTensor device instead"
+)
 
 
-def _emit_unary(builder, op):
-    def emit(args):
-        return AbstractTensor(builder.unary(op, _as_hlo(builder, args[0])))
+class _ExtractionDevice:
+    """Where an extraction's runtime tensors live: real :class:`Tensor`
+    values whose storage is the HLO instruction producing them.
 
-    return emit
+    It offers Tensor the surface a :class:`~repro.tensor.device.Device`
+    binds (``apply``, ``source``, ``constant``, ``full``, ``observe``), so
+    every tensor op and primitive body runs unchanged and each op emits its
+    row of :mod:`repro.tensor.traceops` into one builder: the same lowering
+    the lazy runtime compiles.  It is private to one extraction, never a
+    ``Device`` kind.
+    """
 
-
-def _as_hlo(builder, value):
-    if isinstance(value, AbstractTensor):
-        return value.inst
-    if isinstance(value, (int, float)):
-        return builder.constant(float(value))
-    from repro.tensor import Tensor
-
-    if isinstance(value, Tensor):
-        # A concrete tensor (model weight): embed as a constant.
-        return builder.constant(value.numpy())
-    raise GraphExtractionError(f"cannot lower {type(value).__name__} to HLO")
-
-
-class _Extractor(Evaluator):
-    """Partially evaluates a SIL function, emitting HLO for tensor ops: the
-    reference evaluator with an abstract-aware ``apply``, ``struct_extract``
-    and branch-condition read."""
-
-    error = GraphExtractionError
+    kind = "extract"
+    name = "extract"
 
     def __init__(self, builder: HloBuilder) -> None:
         self.builder = builder
-        #: Executed-block budget of the whole extraction, callees included.
-        self.blocks_left = 100_000
-        b = builder
-        self.tensor_rules = {
-            "add": _emit_binary(b, "add"),
-            "sub": _emit_binary(b, "subtract"),
-            "mul": _emit_binary(b, "multiply"),
-            "div": _emit_binary(b, "divide"),
-            "pow": _emit_binary(b, "power"),
-            "neg": _emit_unary(b, "negate"),
-            "exp": _emit_unary(b, "exponential"),
-            "log": _emit_unary(b, "log"),
-            "tanh": _emit_unary(b, "tanh"),
-            "sigmoid": _emit_unary(b, "logistic"),
-            "relu": _emit_unary(b, "relu"),
-            "sqrt": _emit_unary(b, "sqrt"),
-            "rsqrt": _emit_unary(b, "rsqrt"),
-            "abs": _emit_unary(b, "abs"),
-            "identity": lambda args: args[0],
-            "lt": self._emit_compare("lt"),
-            "le": self._emit_compare("le"),
-            "gt": self._emit_compare("gt"),
-            "ge": self._emit_compare("ge"),
-            "matmul_op": self._emit_matmul,
-            "matmul": self._emit_matmul,
-            "conv2d": self._emit_conv2d,
-            "avg_pool2d": self._emit_avg_pool,
-            "max_pool2d": self._emit_max_pool,
-            "tensor_sum": self._emit_reduce("sum"),
-            "tensor_mean": self._emit_reduce("mean"),
-            "tensor_max": self._emit_reduce("max"),
-            "tensor_reshape": self._emit_reshape,
-            "flatten_batch": self._emit_flatten,
-            "softmax_cross_entropy": self._emit_softmax_ce,
-        }
 
-    # -- emission helpers -----------------------------------------------------
+    def apply(self, op: str, operands: list, attrs: dict):
+        return TRACE_OPS[op].lower(self.builder, operands, attrs)
 
-    def _emit_compare(self, direction):
-        def emit(args):
-            a, b = (_as_hlo(self.builder, x) for x in args)
-            dims = np.broadcast_shapes(a.shape.dims, b.shape.dims)
-            return AbstractTensor(
-                self.builder.binary(
-                    "compare",
-                    self.builder.broadcast(a, dims),
-                    self.builder.broadcast(b, dims),
-                    comparison=direction,
-                )
-            )
+    def source(self, data):
+        return self.builder.constant(np.asarray(data, dtype=np.float32))
 
-        return emit
+    def constant(self, value: float):
+        return self.builder.constant(float(value))
 
-    def _emit_matmul(self, args):
-        a, b = (_as_hlo(self.builder, x) for x in args)
-        return AbstractTensor(self.builder.dot(a, b))
+    def full(self, shape: tuple[int, ...], value: float):
+        return self.source(np.full(shape, value, dtype=np.float32))
 
-    def _emit_conv2d(self, args):
-        x = _as_hlo(self.builder, args[0])
-        filters = _as_hlo(self.builder, args[1])
-        stride = args[2] if len(args) > 2 else 1
-        padding = args[3] if len(args) > 3 else "valid"
-        if isinstance(stride, AbstractTensor) or isinstance(padding, AbstractTensor):
-            raise GraphExtractionError("conv2d configuration must be static")
-        return AbstractTensor(self.builder.convolution(x, filters, stride, padding))
-
-    def _emit_avg_pool(self, args):
-        x = _as_hlo(self.builder, args[0])
-        pool = args[1] if len(args) > 1 else 2
-        stride = args[2] if len(args) > 2 else 2
-        return AbstractTensor(self.builder.avg_pool(x, pool, stride))
-
-    def _emit_max_pool(self, args):
-        x = _as_hlo(self.builder, args[0])
-        pool = args[1] if len(args) > 1 else 2
-        stride = args[2] if len(args) > 2 else 2
-        return AbstractTensor(self.builder.max_pool(x, pool, stride))
-
-    def _emit_reduce(self, kind):
-        def emit(args):
-            x = _as_hlo(self.builder, args[0])
-            axes = args[1] if len(args) > 1 else None
-            keepdims = args[2] if len(args) > 2 else False
-            if isinstance(axes, AbstractTensor):
-                raise GraphExtractionError("reduction axes must be static")
-            return AbstractTensor(self.builder.reduce(x, kind, axes, bool(keepdims)))
-
-        return emit
-
-    def _emit_reshape(self, args):
-        x = _as_hlo(self.builder, args[0])
-        dims = args[1]
-        if isinstance(dims, AbstractTensor):
-            raise GraphExtractionError("reshape dims must be static")
-        dims = tuple(dims)
-        if -1 in dims:
-            known = int(np.prod([d for d in dims if d != -1]))
-            dims = tuple(
-                x.shape.num_elements // known if d == -1 else d for d in dims
-            )
-        return AbstractTensor(self.builder.reshape(x, dims))
-
-    def _emit_flatten(self, args):
-        x = _as_hlo(self.builder, args[0])
-        n = x.shape.dims[0]
-        return AbstractTensor(
-            self.builder.reshape(x, (n, x.shape.num_elements // n))
+    def observe(self, inst):
+        raise GraphExtractionError(
+            f"the program reads the value of a runtime tensor {inst.shape}; "
+            + _NOT_STATIC
         )
 
-    def _emit_softmax_ce(self, args):
-        logits = _as_hlo(self.builder, args[0])
-        labels = _as_hlo(self.builder, args[1])
-        return AbstractTensor(self.builder.softmax_ce(logits, labels))
+    def tensor(self, inst) -> Tensor:
+        return Tensor._wrap(inst, self)
 
-    # -- partial evaluation ------------------------------------------------------
 
-    def evaluate(self, func: ir.Function, args: Sequence[object]):
-        """Interpret ``func``; concrete values fold, abstract tensors emit."""
-        return self.run(func, args)
+class _Extractor(Evaluator):
+    """Partially evaluates a SIL function: the reference evaluator, with
+    primitives run on extraction tensors and a static-only branch
+    condition."""
+
+    error = GraphExtractionError
+
+    def __init__(self, device: _ExtractionDevice) -> None:
+        self.device = device
+        #: Executed-block budget of the whole extraction, callees included.
+        self.blocks_left = 100_000
+
+    def is_abstract(self, value) -> bool:
+        return isinstance(value, Tensor) and value.device is self.device
 
     def enter_block(self, block, edge_args) -> None:
         self.blocks_left -= 1
@@ -243,19 +136,15 @@ class _Extractor(Evaluator):
 
     def cond(self, term, env):
         cond = super().cond(term, env)
-        if isinstance(cond, AbstractTensor):
+        if self.is_abstract(cond):
             raise GraphExtractionError(
-                "control flow depends on a runtime tensor value; "
-                "ahead-of-time extraction cannot slice it (Section 3.5) "
-                "— use the LazyTensor device instead"
+                "control flow depends on a runtime tensor value; " + _NOT_STATIC
             )
         return cond
 
     def struct_extract(self, inst, env):
         owner = env[inst.operands[0].id]
-        if isinstance(owner, AbstractTensor):
-            if inst.field == "shape":
-                return owner.shape
+        if self.is_abstract(owner) and inst.field != "shape":
             raise GraphExtractionError(
                 f"attribute {inst.field!r} of a runtime tensor is not static"
             )
@@ -269,30 +158,30 @@ class _Extractor(Evaluator):
     def apply(self, inst: ir.ApplyInst, env):
         args = [env[v.id] for v in inst.args]
         callee = env[inst.callee.id] if inst.is_indirect else inst.callee.target
-        has_abstract = any(isinstance(a, AbstractTensor) for a in args)
+        has_abstract = any(map(self.is_abstract, args))
 
         if isinstance(callee, Primitive):
-            if has_abstract or isinstance(callee.fn, type(None)):
-                rule = self.tensor_rules.get(callee.name)
-                if rule is None:
-                    if not has_abstract:
-                        return callee.fn(*args)
-                    raise GraphExtractionError(
-                        f"no static lowering for primitive {callee.name!r}"
-                    )
-                return rule(args)
+            if has_abstract:
+                # A concrete tensor (a model weight) meeting a runtime one
+                # is a constant of the program, embedded at each use.
+                args = [
+                    self.device.tensor(self.device.source(a.numpy()))
+                    if isinstance(a, Tensor) and not self.is_abstract(a)
+                    else a
+                    for a in args
+                ]
             return callee.fn(*args)
 
         if isinstance(callee, ir.Function):
-            return self.evaluate(callee, args)
+            return self.run(callee, args)
 
         # Layers and other differentiable callables: inline their SIL.
         call_fn = getattr(type(callee), "__call_fn__", None)
         if call_fn is not None:
-            return self.evaluate(call_fn.func, [callee, *args])
+            return self.run(call_fn.func, [callee, *args])
         sil_func = getattr(callee, "__sil_function__", None)
         if sil_func is not None:
-            return self.evaluate(sil_func, args)
+            return self.run(sil_func, args)
         if callable(callee) and not has_abstract:
             return callee(*args)
         try:
@@ -301,7 +190,20 @@ class _Extractor(Evaluator):
             raise GraphExtractionError(
                 f"cannot statically inline call to {callee!r}: {exc}"
             ) from exc
-        return self.evaluate(lowered, args)
+        return self.run(lowered, args)
+
+
+def _evaluate(fn, static_args, input_shapes, name: str):
+    """Run ``fn(*static_args, *inputs)`` with each input a parameter of a
+    fresh builder; returns the extractor and the program's result."""
+    sil_func = getattr(fn, "__sil_function__", None) or lower_function(fn)
+    device = _ExtractionDevice(HloBuilder(name))
+    inputs = [
+        device.tensor(device.builder.parameter(Shape(tuple(s))))
+        for s in input_shapes
+    ]
+    extractor = _Extractor(device)
+    return extractor, extractor.run(sil_func, [*static_args, *inputs])
 
 
 def extract_program(
@@ -317,18 +219,12 @@ def extract_program(
     them.  Returns an :class:`ExtractedProgram` whose per-call cost is one
     fused executable launch — no tracing, no dispatch, ever.
     """
-    sil_func = getattr(fn, "__sil_function__", None) or lower_function(fn)
-    builder = HloBuilder("extracted")
-    extractor = _Extractor(builder)
-    abstract_inputs = [
-        AbstractTensor(builder.parameter(Shape(tuple(s)))) for s in input_shapes
-    ]
-    result = extractor.evaluate(sil_func, [*static_args, *abstract_inputs])
-    if not isinstance(result, AbstractTensor):
+    extractor, result = _evaluate(fn, static_args, input_shapes, "extracted")
+    if not extractor.is_abstract(result):
         raise GraphExtractionError(
             f"program result is static ({type(result).__name__}); nothing to compile"
         )
-    module = builder.build(result.inst, module_name="extracted")
+    module = extractor.device.builder.build(result._impl, module_name="extracted")
     executable = compile_module(module, use_cache=False, fuse=fuse)
     return ExtractedProgram(executable, [tuple(s) for s in input_shapes])
 
@@ -343,18 +239,12 @@ def check_shapes(fn, *static_args, input_shapes: Sequence[Sequence[int]]):
     HLO-level shape detail) or :class:`GraphExtractionError` if the
     program's control flow depends on runtime tensor values.
     """
-    sil_func = getattr(fn, "__sil_function__", None) or lower_function(fn)
-    builder = HloBuilder("shape_check")
-    extractor = _Extractor(builder)
-    abstract_inputs = [
-        AbstractTensor(builder.parameter(Shape(tuple(s)))) for s in input_shapes
-    ]
-    result = extractor.evaluate(sil_func, [*static_args, *abstract_inputs])
-    if isinstance(result, AbstractTensor):
+    extractor, result = _evaluate(fn, static_args, input_shapes, "shape_check")
+    if extractor.is_abstract(result):
         return result.shape
     if isinstance(result, tuple):
         return tuple(
-            r.shape if isinstance(r, AbstractTensor) else type(r).__name__
+            r.shape if extractor.is_abstract(r) else type(r).__name__
             for r in result
         )
     return type(result).__name__

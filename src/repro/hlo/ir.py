@@ -72,6 +72,10 @@ class Shape:
         dims = ",".join(map(str, self.dims))
         return f"{self.dtype}[{dims}]"
 
+    def __iter__(self):
+        """The dims, so a shape reads like a tensor's shape tuple."""
+        return iter(self.dims)
+
     def with_dtype(self, dtype: str) -> "Shape":
         return Shape(self.dims, dtype)
 

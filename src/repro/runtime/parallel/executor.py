@@ -29,17 +29,14 @@ T = TypeVar("T")
 BACKENDS = ("serial", "thread", "process")
 
 
-def resolve_backend(
-    n_replicas: int, backend: Optional[str], serial: bool
-) -> str:
+def resolve_backend(n_replicas: int, backend: Optional[str]) -> str:
     """The effective backend for ``n_replicas`` replicas.
 
-    ``backend`` wins when given; otherwise the legacy ``serial`` flag
-    picks serial vs thread.  A single replica always degrades to serial
-    (there is nothing to overlap).
+    ``backend`` defaults to ``"thread"``.  A single replica always
+    degrades to serial (there is nothing to overlap).
     """
     if backend is None:
-        backend = "serial" if serial else "thread"
+        backend = "thread"
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown executor backend {backend!r}; expected one of {BACKENDS}"
@@ -66,13 +63,12 @@ class MultiReplicaExecutor:
         self,
         n_replicas: int,
         max_workers: Optional[int] = None,
-        serial: bool = False,
         backend: Optional[str] = None,
     ) -> None:
         if n_replicas < 1:
             raise ValueError("need at least one replica")
         self.n_replicas = n_replicas
-        self.backend = resolve_backend(n_replicas, backend, serial)
+        self.backend = resolve_backend(n_replicas, backend)
         self.serial = self.backend == "serial"
         self._pool: Optional[ThreadPoolExecutor] = None
         self._process_executor = None

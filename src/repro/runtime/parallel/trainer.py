@@ -1,12 +1,12 @@
 """Synchronous data-parallel training with *every* replica running for real.
 
-The original :class:`~repro.training.distributed.DataParallelTrainer`
-executes one representative replica and assumes the rest identical (true
-under synchronous SGD, but untested).  This trainer removes the
-assumption: ``n_replicas`` lazy devices each run real forward+backward
-numerics concurrently, gradients are all-reduced (averaged) in fixed
-replica order, and every replica applies the identical averaged
-gradient — exactly the lockstep the paper's TPU pods execute.
+``n_replicas`` lazy devices each run real forward+backward numerics
+concurrently, gradients are all-reduced (averaged) in fixed replica
+order, and every replica applies the identical averaged gradient —
+exactly the lockstep the paper's TPU pods execute.  ``pod_size`` prices
+the all-reduce for a larger simulated pod, so ``n_replicas=1`` with
+``pod_size=n`` is one representative replica standing for ``n`` identical
+ones (exact under synchronous SGD on identical shards).
 
 Three backends share one step contract (``backend=`` knob, resolved by
 :func:`~repro.runtime.parallel.executor.resolve_backend`):
@@ -128,7 +128,6 @@ class ParallelDataParallelTrainer:
         engine: Optional[EngineProfile] = None,
         allreduce: Optional[AllReduceConfig] = None,
         async_compile=False,
-        serial: bool = False,
         device_kind: str = "lazy",
         pod_size: Optional[int] = None,
         backend: Optional[str] = None,
@@ -141,7 +140,7 @@ class ParallelDataParallelTrainer:
         self.n_replicas = n_replicas
         self.profile = profile or TPU_V3_CORE
         self.engine = engine or S4TF_LAZY
-        self.backend = resolve_backend(n_replicas, backend, serial)
+        self.backend = resolve_backend(n_replicas, backend)
         if self.backend == "process" and async_compile:
             raise ValueError(
                 "backend='process' is incompatible with async_compile: the "

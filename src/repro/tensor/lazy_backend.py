@@ -106,7 +106,8 @@ class LazyRuntime:
         #: Callbacks ``observer(targets, reason)`` invoked with every trace
         #: fragment *before* it is lowered and executed (reason is one of
         #: ``"observe"``, ``"barrier"``, ``"auto_cut"``).  The static
-        #: trace-stability analyzer hooks here to snapshot fragments while
+        #: trace-stability analyzer and step-program capture
+        #: (``repro.frameworks.capture``) hook here to read fragments while
         #: their DAG structure is still intact (execution consumes it).
         self.fragment_observers: list = []
         #: Tensors currently alive on this device; the nodes they hold are
@@ -114,11 +115,6 @@ class LazyRuntime:
         #: trace are never barrier roots, which both preserves fusion and
         #: keeps per-step trace fingerprints identical.)
         self.live_tensors: "weakref.WeakSet" = weakref.WeakSet()
-        #: When enabled, every executed fragment's pre-optimization text and
-        #: parameter values are stashed (used to extract step programs for
-        #: the baseline framework engines).
-        self.capture_traces = False
-        self.captured_traces: list[tuple[str, list]] = []
 
     def reset(self) -> None:
         self.host_time = 0.0
@@ -277,16 +273,10 @@ class LazyRuntime:
         if self.async_compiler is not None:
             self._execute_async(targets, key, args)
             return
-        if self.capture_traces:
-            from repro.hlo.printer import print_module
-
-            module, _ = _lower_to_hlo(targets)
-            self.captured_traces.append((print_module(module), args))
-            lower = lambda: module  # noqa: E731
-        else:
-            lower = lambda: _lower_to_hlo(targets)[0]  # noqa: E731
         compiles_before = COMPILER_STATS.compiles
-        executable = compile_keyed(key, lower, codegen=self.codegen)
+        executable = compile_keyed(
+            key, lambda: _lower_to_hlo(targets)[0], codegen=self.codegen
+        )
         if COMPILER_STATS.compiles > compiles_before:
             # A genuinely new trace: pay JIT compilation.
             self.compiles_triggered += 1

@@ -1,12 +1,9 @@
-"""Training library: loops with automatic barriers, distributed training."""
+"""Training library: loops with automatic barriers, data-parallel training."""
 
 from repro.runtime.parallel import ParallelDataParallelTrainer, ParallelStepStats
-from repro.training.distributed import DataParallelTrainer, DistributedStepStats
 from repro.training.loop import History, StepResult, evaluate, train, train_step
 
 __all__ = [
-    "DataParallelTrainer",
-    "DistributedStepStats",
     "ParallelDataParallelTrainer",
     "ParallelStepStats",
     "History",

@@ -17,26 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.tensor.lazy_backend import TraceNode
-
-
-def _collect(roots: Iterable[TraceNode]) -> list[TraceNode]:
-    order: list[TraceNode] = []
-    seen: set[int] = set()
-    stack = [(r, False) for r in roots]
-    while stack:
-        node, expanded = stack.pop()
-        if node.id in seen:
-            continue
-        if expanded:
-            seen.add(node.id)
-            order.append(node)
-        else:
-            stack.append((node, True))
-            for operand in node.inputs:
-                if operand.id not in seen:
-                    stack.append((operand, False))
-    return order
+from repro.tensor.lazy_backend import TraceNode, fragment_order
 
 
 def _label(node: TraceNode) -> str:
@@ -62,35 +43,32 @@ def trace_to_text(
     annotate: bool = False,
     volatile_positions: Sequence[int] = (),
 ) -> str:
-    """One line per node in topological order, operands by id.
+    """One line per node, operands by position.
 
-    ``annotate=True`` prefixes the static cache key and marks the cut
-    points (the fragment's roots); ``volatile_positions`` — canonical
-    positions from the retrace-storm detector — highlight the constants
-    whose per-step churn defeats the executable cache.
+    Nodes are listed in :func:`~repro.tensor.lazy_backend.fragment_order`,
+    the walk the canonical cache key reads, so the ``%i`` of a line is the
+    node's canonical position.  ``annotate=True`` prefixes the static cache
+    key and marks the cut points (the fragment's roots);
+    ``volatile_positions`` — canonical positions from the retrace-storm
+    detector — highlight the constants whose per-step churn defeats the
+    executable cache.
     """
     roots = list(roots)
-    order = _collect(roots)
+    order = fragment_order(roots)
     index = {node.id: i for i, node in enumerate(order)}
     lines = []
-    volatile_ids: set[int] = set()
-    if annotate or volatile_positions:
+    volatile = set(volatile_positions)
+    if annotate:
         canonical = _canonicalize(roots)
-        volatile_ids = {
-            canonical.node_ids[p]
-            for p in volatile_positions
-            if 0 <= p < len(canonical.node_ids)
-        }
-        if annotate:
-            lines.append(
-                f"# cache key {canonical.digest} "
-                f"({canonical.n_params} params, {canonical.n_ops} ops)"
-            )
+        lines.append(
+            f"# cache key {canonical.digest} "
+            f"({canonical.n_params} params, {canonical.n_ops} ops)"
+        )
     root_ids = {r.id for r in roots}
     for i, node in enumerate(order):
         operands = ", ".join(f"%{index[x.id]}" for x in node.inputs)
         line = f"%{i} = {_label(node)}" + (f" ({operands})" if operands else "")
-        if node.id in volatile_ids:
+        if i in volatile:
             line += "   <-- step-volatile constant (promote to a trace input)"
         elif annotate and node.id in root_ids:
             line += "   <-- cut point (materialized here)"
@@ -111,23 +89,17 @@ def trace_to_dot(
     constants are filled red.
     """
     roots = list(roots)
-    order = _collect(roots)
+    order = fragment_order(roots)
     lines = [f"digraph {name} {{", "  rankdir=TB;", '  node [shape=box, fontsize=10];']
-    volatile_ids: set[int] = set()
-    if annotate or volatile_positions:
+    volatile = set(volatile_positions)
+    if annotate:
         canonical = _canonicalize(roots)
-        volatile_ids = {
-            canonical.node_ids[p]
-            for p in volatile_positions
-            if 0 <= p < len(canonical.node_ids)
-        }
-        if annotate:
-            lines.append(f'  label="cache key {canonical.digest}";')
-            lines.append("  labelloc=t;")
+        lines.append(f'  label="cache key {canonical.digest}";')
+        lines.append("  labelloc=t;")
     root_ids = {r.id for r in roots} if annotate else set()
-    for node in order:
+    for i, node in enumerate(order):
         extra = ""
-        if node.id in volatile_ids:
+        if i in volatile:
             extra = ', style=filled, fillcolor="#ffb3b3"'
         elif node.is_source:
             extra = ', style=filled, fillcolor="#dddddd"'
@@ -184,7 +156,7 @@ def capture_forward_trace(model, example_input):
 
 def trace_summary(root: TraceNode) -> dict[str, int]:
     """Aggregate statistics of a trace: ops by kind, totals."""
-    order = _collect([root])
+    order = fragment_order([root])
     by_op: dict[str, int] = {}
     for node in order:
         by_op[node.op] = by_op.get(node.op, 0) + 1

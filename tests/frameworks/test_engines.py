@@ -5,7 +5,6 @@ import pytest
 
 from repro.frameworks import (
     FusedJitEngine,
-    GraphInterpreterEngine,
     OpByOpEngine,
     capture_step_program,
 )
@@ -56,7 +55,7 @@ def test_capture_requires_materialization():
 def test_all_engines_compute_identical_numerics(program):
     engines = [
         OpByOpEngine(program, TORCH_LIKE, GTX_1080),
-        GraphInterpreterEngine(program, TF_GRAPH, GTX_1080),
+        OpByOpEngine(program, TF_GRAPH, GTX_1080),
         FusedJitEngine(program, JAX_JIT, GTX_1080),
         LazyTraceEngine(program, S4TF_LAZY, GTX_1080),
     ]
@@ -111,8 +110,8 @@ def test_efficiency_scales_device_time(program):
 
 
 def test_steady_state_is_deterministic(program):
-    e1 = GraphInterpreterEngine(program, TF_GRAPH, GTX_1080)
-    e2 = GraphInterpreterEngine(program, TF_GRAPH, GTX_1080)
+    e1 = OpByOpEngine(program, TF_GRAPH, GTX_1080)
+    e2 = OpByOpEngine(program, TF_GRAPH, GTX_1080)
     assert e1.steady_state_step_time() == pytest.approx(
         e2.steady_state_step_time(), rel=1e-12
     )

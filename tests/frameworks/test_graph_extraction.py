@@ -9,7 +9,25 @@ from repro.frameworks.graph_extraction import (
     extract_program,
 )
 from repro.nn import LeNet, MLP, resnet_cifar_small, softmax_cross_entropy
-from repro.tensor import Tensor, eager_device, one_hot
+from repro.sil.mathprims import exp, log, relu, rsqrt, sigmoid, sqrt, tanh
+from repro.tensor import (
+    Tensor,
+    avg_pool2d,
+    conv2d,
+    eager_device,
+    flatten_batch,
+    matmul,
+    max_pool2d,
+    mse_loss,
+    one_hot,
+    tensor_broadcast_to,
+    tensor_concat,
+    tensor_max,
+    tensor_mean,
+    tensor_reshape,
+    tensor_sum,
+    tensor_transpose,
+)
 
 DEVICE = eager_device()
 RNG = np.random.default_rng(0)
@@ -88,6 +106,193 @@ class TestStaticExtraction:
         assert float(program.run(x)) == pytest.approx(6.0 * x.sum(), rel=1e-5)
 
 
+# One-op programs, one per tensor primitive.  A leading static argument is
+# a concrete (weight) tensor, which extraction embeds as a constant.
+
+
+def _matmul(w, x):
+    return matmul(x, w)
+
+
+def _conv2d(filters, x):
+    return conv2d(x, filters, 1, "same")
+
+
+def _avg_pool2d(x):
+    return avg_pool2d(x, 2, 2)
+
+
+def _max_pool2d(x):
+    return max_pool2d(x, 2, 2)
+
+
+def _tensor_sum(x):
+    return tensor_sum(x, (1,), False)
+
+
+def _tensor_mean(x):
+    return tensor_mean(x)
+
+
+def _tensor_max(x):
+    return tensor_max(x, (0,), True)
+
+
+def _tensor_reshape(x):
+    return tensor_reshape(x, (4, -1))
+
+
+def _flatten_batch(x):
+    return flatten_batch(x)
+
+
+def _tensor_transpose(x):
+    return tensor_transpose(x, (1, 0))
+
+
+def _tensor_broadcast_to(x):
+    return tensor_broadcast_to(x, (3, 4))
+
+
+def _softmax_cross_entropy(x, labels):
+    return softmax_cross_entropy(x, labels)
+
+
+def _mse_loss(x, y):
+    return mse_loss(x, y)
+
+
+def _tensor_concat(x, y):
+    return tensor_concat([x, y], 0)
+
+
+def _exp(x):
+    return exp(x)
+
+
+def _log(x):
+    return log(x)
+
+
+def _tanh(x):
+    return tanh(x)
+
+
+def _sigmoid(x):
+    return sigmoid(x)
+
+
+def _relu(x):
+    return relu(x - 1.0)
+
+
+def _sqrt(x):
+    return sqrt(x)
+
+
+def _rsqrt(x):
+    return rsqrt(x)
+
+
+def _abs(x):
+    return abs(x - 1.0)
+
+
+def _neg(x):
+    return -x
+
+
+def _add(x, y):
+    return x + y
+
+
+def _sub(x, y):
+    return x - y
+
+
+def _mul(w, x):
+    return x * w
+
+
+def _div(x, y):
+    return x / y
+
+
+def _pow(x, y):
+    return x**y
+
+
+def _lt(x, y):
+    return x < y
+
+
+def _le(x, y):
+    return x <= y
+
+
+def _gt(x, y):
+    return x > y
+
+
+def _ge(x, y):
+    return x >= y
+
+
+def _f32(*shape, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.5, 2.0, shape).astype(np.float32)
+
+
+_PRIMITIVE_PROGRAMS = {
+    "matmul": (_matmul, [_f32(4, 5)], [(3, 4)]),
+    "conv2d": (_conv2d, [_f32(3, 3, 2, 4)], [(1, 6, 6, 2)]),
+    "avg_pool2d": (_avg_pool2d, [], [(1, 4, 4, 3)]),
+    "max_pool2d": (_max_pool2d, [], [(1, 4, 4, 3)]),
+    "tensor_sum": (_tensor_sum, [], [(3, 4)]),
+    "tensor_mean": (_tensor_mean, [], [(3, 4)]),
+    "tensor_max": (_tensor_max, [], [(3, 4)]),
+    "tensor_reshape": (_tensor_reshape, [], [(2, 6)]),
+    "flatten_batch": (_flatten_batch, [], [(2, 3, 2)]),
+    "tensor_transpose": (_tensor_transpose, [], [(3, 4)]),
+    "tensor_broadcast_to": (_tensor_broadcast_to, [], [(1, 4)]),
+    "softmax_cross_entropy": (_softmax_cross_entropy, [], [(3, 4), (3, 4)]),
+    "mse_loss": (_mse_loss, [], [(3, 4), (3, 4)]),
+    "tensor_concat": (_tensor_concat, [], [(2, 4), (3, 4)]),
+    "exp": (_exp, [], [(3, 4)]),
+    "log": (_log, [], [(3, 4)]),
+    "tanh": (_tanh, [], [(3, 4)]),
+    "sigmoid": (_sigmoid, [], [(3, 4)]),
+    "relu": (_relu, [], [(3, 4)]),
+    "sqrt": (_sqrt, [], [(3, 4)]),
+    "rsqrt": (_rsqrt, [], [(3, 4)]),
+    "abs": (_abs, [], [(3, 4)]),
+    "neg": (_neg, [], [(3, 4)]),
+    "add": (_add, [], [(3, 4), (4,)]),
+    "sub": (_sub, [], [(3, 4), (3, 4)]),
+    "mul": (_mul, [_f32(4)], [(3, 4)]),
+    "div": (_div, [], [(3, 4), (3, 4)]),
+    "pow": (_pow, [], [(3, 4), (3, 4)]),
+    "lt": (_lt, [], [(3, 4), (3, 4)]),
+    "le": (_le, [], [(3, 4), (3, 4)]),
+    "gt": (_gt, [], [(3, 4), (3, 4)]),
+    "ge": (_ge, [], [(3, 4), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRIMITIVE_PROGRAMS))
+def test_every_tensor_primitive_extracts_bit_identically(name):
+    """Each primitive runs its own body on extraction tensors, so its
+    one-op program extracts and matches eager bit for bit."""
+    fn, weights, shapes = _PRIMITIVE_PROGRAMS[name]
+    static = [Tensor(w, DEVICE) for w in weights]
+    inputs = [_f32(*s, seed=i + 1) for i, s in enumerate(shapes)]
+    program = extract_program(fn, *static, input_shapes=shapes)
+    got = np.asarray(program.run(*inputs), dtype=np.float32)
+    expected = fn(*static, *[Tensor(a, DEVICE) for a in inputs]).numpy()
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 class TestTheLimitation:
     def test_runtime_tensor_branch_rejected(self):
         def dynamic(model, x):
@@ -109,6 +314,13 @@ class TestTheLimitation:
 
         with pytest.raises(GraphExtractionError):
             extract_program(dynamic_loop, input_shapes=[(4,)])
+
+    def test_reading_a_runtime_value_rejected(self):
+        def host_read(x):
+            return x * float(x.sum())  # the value is only known at run time
+
+        with pytest.raises(GraphExtractionError, match="Section 3.5"):
+            extract_program(host_read, input_shapes=[(4,)])
 
     def test_shape_mismatch_at_run_time_rejected(self):
         model = MLP.create(4, [4], 2, device=DEVICE, seed=5)

@@ -47,9 +47,9 @@ def test_results_in_replica_order_despite_reverse_completion():
 
 def test_serial_and_parallel_agree():
     fn = lambda i: (i, i * i)  # noqa: E731
-    with MultiReplicaExecutor(5, serial=True) as serial, MultiReplicaExecutor(
-        5
-    ) as parallel:
+    with MultiReplicaExecutor(
+        5, backend="serial"
+    ) as serial, MultiReplicaExecutor(5) as parallel:
         assert serial.run(fn) == parallel.run(fn)
 
 
@@ -113,15 +113,13 @@ def test_executor_reusable_across_runs():
 
 def test_backend_resolution():
     assert BACKENDS == ("serial", "thread", "process")
-    assert resolve_backend(4, None, False) == "thread"
-    assert resolve_backend(4, None, True) == "serial"
-    assert resolve_backend(4, "process", False) == "process"
-    # An explicit backend outranks the legacy serial flag.
-    assert resolve_backend(4, "thread", True) == "thread"
+    assert resolve_backend(4, None) == "thread"
+    assert resolve_backend(4, "serial") == "serial"
+    assert resolve_backend(4, "process") == "process"
     # One replica cannot overlap anything.
-    assert resolve_backend(1, "process", False) == "serial"
+    assert resolve_backend(1, "process") == "serial"
     with pytest.raises(ValueError, match="unknown executor backend"):
-        resolve_backend(4, "gpu", False)
+        resolve_backend(4, "gpu")
     with pytest.raises(ValueError):
         MultiReplicaExecutor(2, backend="gpu")
 
@@ -272,7 +270,7 @@ def test_pod_matches_single_replica_bitwise():
 
 def test_serial_and_threaded_trainers_agree_bitwise():
     threaded = _make_trainer(4)
-    serial = _make_trainer(4, serial=True)
+    serial = _make_trainer(4, backend="serial")
     threaded_stats = _train(threaded)
     serial_stats = _train(serial)
     assert _weight_bytes(threaded.models[0]) == _weight_bytes(serial.models[0])
@@ -320,9 +318,6 @@ def test_trainer_backend_knob():
     trainer = _make_trainer(2, backend="serial")
     assert trainer.backend == "serial"
     trainer.shutdown()
-    legacy = _make_trainer(2, serial=True)
-    assert legacy.backend == "serial"
-    legacy.shutdown()
     with pytest.raises(ValueError, match="unknown"):
         _make_trainer(2, backend="mpi")
 

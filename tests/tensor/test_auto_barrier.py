@@ -7,6 +7,7 @@ import numpy as np
 from repro.hlo import clear_cache
 from repro.hlo.compiler import STATS
 from repro.tensor import Tensor, lazy_device
+from repro.tensor.lazy_backend import fragment_order
 
 
 def setup_function(_):
@@ -28,19 +29,20 @@ def test_auto_cut_fires_at_threshold():
 def test_auto_cut_bounds_fragment_size():
     threshold = 12
     device = lazy_device(auto_barrier_threshold=threshold)
-    device.runtime.capture_traces = True
+    op_counts = []
+
+    def count_ops(targets, reason):
+        order = fragment_order(targets)
+        op_counts.append(sum(node.op in ("add", "mul") for node in order))
+
+    device.runtime.fragment_observers.append(count_ops)
     x = Tensor(np.ones(4, np.float32), device)
     y = x
     for _ in range(60):
         y = y + 0.5
     y.numpy()
-    for text, _args in device.runtime.captured_traces:
-        op_lines = [
-            ln
-            for ln in text.splitlines()
-            if " add(" in ln or " multiply(" in ln
-        ]
-        assert len(op_lines) <= threshold
+    assert len(op_counts) > 1
+    assert all(count <= threshold for count in op_counts)
 
 
 def test_auto_cut_matches_uncut_numerics():

@@ -1,4 +1,5 @@
-"""Data-parallel pod training (the Table 1 machinery)."""
+"""Data-parallel pod training (the Table 1 machinery): one real replica
+standing for a simulated pod of ``pod_size`` cores."""
 
 import numpy as np
 import pytest
@@ -7,26 +8,30 @@ from repro.data import synthetic_mnist
 from repro.nn import MLP, softmax_cross_entropy
 from repro.optim import SGD
 from repro.runtime.costmodel import S4TF_LAZY, TPU_V3_CORE
-from repro.tensor import Device
-from repro.training import DataParallelTrainer
+from repro.training import ParallelDataParallelTrainer
 
 
 def _loss(model, x, y):
     return softmax_cross_entropy(model(x.reshaped((-1, 64))), y)
 
 
-def _setup(n_cores):
-    device = Device("lazy", TPU_V3_CORE, S4TF_LAZY)
-    model = MLP.create(64, [32], 10, device=device, seed=0)
+def _setup(n_cores, learning_rate=0.05):
+    trainer = ParallelDataParallelTrainer(
+        lambda device: MLP.create(64, [32], 10, device=device, seed=0),
+        lambda: SGD(learning_rate),
+        n_replicas=1,
+        profile=TPU_V3_CORE,
+        engine=S4TF_LAZY,
+        pod_size=n_cores,
+    )
     data = synthetic_mnist(n=32, image_size=8)
-    x, y = next(data.batches(16, device=device))
-    trainer = DataParallelTrainer(device, TPU_V3_CORE, n_cores)
-    return trainer, model, x, y
+    x, y = next(data.batches(16))
+    return trainer, trainer.place_shards([(x.numpy(), y.numpy())])
 
 
 def test_step_reports_timing_components():
-    trainer, model, x, y = _setup(8)
-    stats = trainer.step(model, SGD(0.05), _loss, x, y)
+    trainer, shards = _setup(8)
+    stats = trainer.step(_loss, shards)
     assert stats.compute_time > 0
     assert stats.allreduce_time > 0
     assert stats.gradient_bytes > 1000  # MLP parameters
@@ -34,34 +39,31 @@ def test_step_reports_timing_components():
 
 
 def test_single_core_has_no_allreduce():
-    trainer, model, x, y = _setup(1)
-    stats = trainer.step(model, SGD(0.05), _loss, x, y)
+    trainer, shards = _setup(1)
+    stats = trainer.step(_loss, shards)
     assert stats.allreduce_time == 0.0
 
 
 def test_training_actually_updates_the_model():
-    trainer, model, x, y = _setup(4)
+    trainer, shards = _setup(4, learning_rate=0.1)
+    model = trainer.models[0]
     before = model.head.weight.numpy().copy()
-    losses = []
-    opt = SGD(learning_rate=0.1)
-    for _ in range(5):
-        trainer.step(model, opt, _loss, x, y)
-        losses.append(float(_loss(model, x, y)))
+    losses = [trainer.step(_loss, shards).loss for _ in range(5)]
     assert not np.array_equal(model.head.weight.numpy(), before)
     assert losses[-1] < losses[0]
 
 
 def test_throughput_computation():
-    trainer, model, x, y = _setup(16)
-    stats = trainer.step(model, SGD(0.05), _loss, x, y)
+    trainer, shards = _setup(16)
+    stats = trainer.step(_loss, shards)
     total, per_core = trainer.throughput(stats, per_replica_batch=16)
     assert total == pytest.approx(16 * 16 / stats.step_time)
     assert per_core == pytest.approx(total / 16)
 
 
 def test_gradient_bytes_match_model_size():
-    trainer, model, x, y = _setup(4)
-    stats = trainer.step(model, SGD(0.05), _loss, x, y)
+    trainer, shards = _setup(4)
+    stats = trainer.step(_loss, shards)
     # MLP(64->32->10): weights+biases = 64*32+32 + 32*10+10 params * 4B.
     expected = (64 * 32 + 32 + 32 * 10 + 10) * 4
     assert stats.gradient_bytes == expected
@@ -70,8 +72,8 @@ def test_gradient_bytes_match_model_size():
 def test_allreduce_grows_slowly_with_cores():
     results = {}
     for n in (2, 16, 128):
-        trainer, model, x, y = _setup(n)
-        stats = trainer.step(model, SGD(0.05), _loss, x, y)
+        trainer, shards = _setup(n)
+        stats = trainer.step(_loss, shards)
         results[n] = stats.allreduce_time
     # Tiny gradients are latency-bound: growth is monotone in pod size.
     assert results[2] < results[16] < results[128]
