@@ -41,6 +41,7 @@ from repro.hlo.ir import (
     HloInstruction,
     HloModule,
 )
+from repro.hlo.ops import HLO_OPS
 from repro.analysis.equivalence.normalform import LIT, TERM, TermTable
 
 _COERCED_DTYPES = (F16, BF16, F64)
@@ -63,6 +64,14 @@ def _raw_term(inst: HloInstruction, args: list[int], table: TermTable) -> int:
     op = inst.opcode
     at = inst.attrs
     t = [(TERM, a) for a in args]
+    row = HLO_OPS.get(op)
+    if row is not None:
+        if row.f32_accum:
+            t = [
+                (TERM, table.f32acc(a) if o.shape.dtype == F16 else a)
+                for o, a in zip(inst.operands, args)
+            ]
+        return table.kernel(row.kernel, t + [(LIT, freeze(v)) for v in row.attr_values(at)])
     if op == "convert":
         return table.cast(at["new_dtype"], args[0])
     if op in _UNARY_KERNELS:
@@ -73,57 +82,6 @@ def _raw_term(inst: HloInstruction, args: list[int], table: TermTable) -> int:
         return table.compare(at["direction"], args[0], args[1])
     if op == "not":
         return table.logical_not(args[0])
-    if op == "select":
-        return table.kernel("select", t)
-    if op == "broadcast":
-        return table.kernel("broadcast_to", t + [(LIT, freeze(at["dims"]))])
-    if op == "reshape":
-        return table.kernel("reshape", t + [(LIT, freeze(at["dims"]))])
-    if op == "transpose":
-        return table.kernel("transpose", t + [(LIT, freeze(at["perm"]))])
-    if op == "pad":
-        return table.kernel("pad", t + [(LIT, freeze(at["paddings"]))])
-    if op == "slice":
-        return table.kernel(
-            "slice", t + [(LIT, freeze(at["starts"])), (LIT, freeze(at["sizes"]))]
-        )
-    if op == "concatenate":
-        return table.kernel("concat", t + [(LIT, freeze(at["axis"]))])
-    if op == "dot":
-        wrapped = [
-            (TERM, table.f32acc(a) if o.shape.dtype == F16 else a)
-            for o, a in zip(inst.operands, args)
-        ]
-        return table.kernel("matmul", wrapped)
-    if op == "convolution":
-        wrapped = [
-            (TERM, table.f32acc(a) if o.shape.dtype == F16 else a)
-            for o, a in zip(inst.operands, args)
-        ]
-        return table.kernel(
-            "conv2d",
-            wrapped + [(LIT, freeze(at["stride"])), (LIT, freeze(at["padding"]))],
-        )
-    if op == "conv_grad_input":
-        return table.kernel(
-            "conv2d_grad_input",
-            t
-            + [
-                (LIT, freeze(at["input_dims"])),
-                (LIT, freeze(at["stride"])),
-                (LIT, freeze(at["padding"])),
-            ],
-        )
-    if op == "conv_grad_filter":
-        return table.kernel(
-            "conv2d_grad_filter",
-            t
-            + [
-                (LIT, freeze(at["filter_dims"])),
-                (LIT, freeze(at["stride"])),
-                (LIT, freeze(at["padding"])),
-            ],
-        )
     if op == "reduce":
         kind = at["kind"]
         x = args[0]
@@ -138,39 +96,6 @@ def _raw_term(inst: HloInstruction, args: list[int], table: TermTable) -> int:
             _REDUCE_KERNELS[kind],
             [(TERM, x), (LIT, freeze(at["axes"])), (LIT, bool(at["keepdims"]))],
         )
-    if op == "avg_pool":
-        return table.kernel(
-            "avg_pool2d",
-            t + [(LIT, freeze(at["pool"])), (LIT, freeze(at["stride"]))],
-        )
-    if op == "avg_pool_grad":
-        return table.kernel(
-            "avg_pool2d_grad",
-            t
-            + [
-                (LIT, freeze(at["input_dims"])),
-                (LIT, freeze(at["pool"])),
-                (LIT, freeze(at["stride"])),
-            ],
-        )
-    if op == "max_pool":
-        return table.kernel(
-            "max_pool2d",
-            t + [(LIT, freeze(at["pool"])), (LIT, freeze(at["stride"]))],
-        )
-    if op == "max_pool_grad":
-        return table.kernel(
-            "max_pool2d_grad",
-            t + [(LIT, freeze(at["pool"])), (LIT, freeze(at["stride"]))],
-        )
-    if op == "one_hot":
-        return table.kernel("one_hot", t + [(LIT, freeze(at["depth"]))])
-    if op == "iota":
-        return table.kernel("iota", [(LIT, freeze(at["n"]))])
-    if op == "softmax_ce":
-        return table.kernel("softmax_cross_entropy", t)
-    if op == "softmax_ce_grad":
-        return table.kernel("softmax_cross_entropy_grad", t)
     raise ValueError(f"no semantic lowering for opcode {op!r}")
 
 

@@ -6,16 +6,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import HloError
+from repro.errors import HloError, ShapeError
 from repro.hlo import shapes as si
+from repro.hlo.compiler import _COMPARE
 from repro.hlo.ir import (
     ELEMENTWISE_BINARY,
     ELEMENTWISE_UNARY,
+    F32,
     HloComputation,
     HloInstruction,
     HloModule,
     Shape,
 )
+from repro.hlo.ops import HLO_OPS
 
 
 class HloBuilder:
@@ -26,6 +29,13 @@ class HloBuilder:
 
     def _add(self, inst: HloInstruction) -> HloInstruction:
         return self.computation.add(inst)
+
+    def _op(self, opcode: str, operands, dtype: str = F32, **attrs) -> HloInstruction:
+        """An :data:`HLO_OPS` row's instruction, shaped by the row's rule;
+        ``dtype`` is the element type of rows whose result type does not
+        follow from an operand."""
+        shape = HLO_OPS[opcode].infer([o.shape for o in operands], attrs, dtype)
+        return self._add(HloInstruction(opcode, operands, shape, attrs=attrs))
 
     # -- leaves ---------------------------------------------------------------
 
@@ -50,7 +60,7 @@ class HloBuilder:
         )
 
     def iota(self, n: int) -> HloInstruction:
-        return self._add(HloInstruction("iota", [], Shape((n,)), attrs={"n": n}))
+        return self._op("iota", [], n=n)
 
     # -- elementwise -----------------------------------------------------------
 
@@ -62,13 +72,16 @@ class HloBuilder:
     def binary(self, opcode: str, a, b, comparison: str = "") -> HloInstruction:
         if opcode not in ELEMENTWISE_BINARY:
             raise HloError(f"{opcode} is not a binary elementwise op")
+        if opcode == "compare" and comparison not in _COMPARE:
+            raise ShapeError(
+                f"compare direction {comparison!r} is not one of {sorted(_COMPARE)}"
+            )
         shape = si.infer_elementwise_binary(opcode, a.shape, b.shape)
         attrs = {"direction": comparison} if opcode == "compare" else {}
         return self._add(HloInstruction(opcode, [a, b], shape, attrs=attrs))
 
     def select(self, pred, on_true, on_false) -> HloInstruction:
-        shape = si.infer_select(pred.shape, on_true.shape, on_false.shape)
-        return self._add(HloInstruction("select", [pred, on_true, on_false], shape))
+        return self._op("select", [pred, on_true, on_false])
 
     def convert(self, x, new_dtype: str) -> HloInstruction:
         """Element-type conversion (the only legal dtype boundary)."""
@@ -82,93 +95,43 @@ class HloBuilder:
     # -- shape ops --------------------------------------------------------------
 
     def broadcast(self, x, dims: Sequence[int]) -> HloInstruction:
-        shape = si.infer_broadcast(x.shape, tuple(dims))
-        if shape.dims == x.shape.dims:
+        if tuple(dims) == x.shape.dims:
             return x
-        return self._add(
-            HloInstruction("broadcast", [x], shape, attrs={"dims": tuple(dims)})
-        )
+        return self._op("broadcast", [x], dims=tuple(dims))
 
     def reshape(self, x, dims: Sequence[int]) -> HloInstruction:
-        shape = si.infer_reshape(x.shape, tuple(dims))
-        return self._add(
-            HloInstruction("reshape", [x], shape, attrs={"dims": tuple(dims)})
-        )
+        return self._op("reshape", [x], dims=tuple(dims))
 
     def transpose(self, x, perm: Sequence[int]) -> HloInstruction:
-        shape = si.infer_transpose(x.shape, tuple(perm))
-        return self._add(
-            HloInstruction("transpose", [x], shape, attrs={"perm": tuple(perm)})
-        )
+        return self._op("transpose", [x], perm=tuple(perm))
 
     def pad(self, x, paddings) -> HloInstruction:
-        shape = si.infer_pad(x.shape, paddings)
-        return self._add(
-            HloInstruction(
-                "pad", [x], shape, attrs={"paddings": tuple(map(tuple, paddings))}
-            )
-        )
+        return self._op("pad", [x], paddings=tuple(map(tuple, paddings)))
 
     def slice(self, x, starts, sizes) -> HloInstruction:
-        shape = si.infer_slice(x.shape, starts, sizes)
-        return self._add(
-            HloInstruction(
-                "slice",
-                [x],
-                shape,
-                attrs={"starts": tuple(starts), "sizes": tuple(sizes)},
-            )
-        )
+        return self._op("slice", [x], starts=tuple(starts), sizes=tuple(sizes))
 
     def concatenate(self, xs, axis: int) -> HloInstruction:
-        shape = si.infer_concat([x.shape for x in xs], axis)
-        return self._add(
-            HloInstruction("concatenate", list(xs), shape, attrs={"axis": axis})
-        )
+        return self._op("concatenate", xs, axis=axis)
 
     # -- linear algebra ----------------------------------------------------------
 
     def dot(self, a, b) -> HloInstruction:
-        shape = si.infer_dot(a.shape, b.shape)
-        return self._add(HloInstruction("dot", [a, b], shape))
+        return self._op("dot", [a, b])
 
     def convolution(self, x, filters, stride: int, padding: str) -> HloInstruction:
-        shape = si.infer_conv(x.shape, filters.shape, stride, padding)
-        return self._add(
-            HloInstruction(
-                "convolution",
-                [x, filters],
-                shape,
-                attrs={"stride": stride, "padding": padding},
-            )
-        )
+        return self._op("convolution", [x, filters], stride=stride, padding=padding)
 
     def conv_grad_input(self, grad, filters, input_dims, stride, padding):
-        return self._add(
-            HloInstruction(
-                "conv_grad_input",
-                [grad, filters],
-                Shape(tuple(input_dims), grad.shape.dtype),
-                attrs={
-                    "input_dims": tuple(input_dims),
-                    "stride": stride,
-                    "padding": padding,
-                },
-            )
+        return self._op(
+            "conv_grad_input", [grad, filters], grad.shape.dtype,
+            input_dims=tuple(input_dims), stride=stride, padding=padding,
         )
 
     def conv_grad_filter(self, x, grad, filter_dims, stride, padding):
-        return self._add(
-            HloInstruction(
-                "conv_grad_filter",
-                [x, grad],
-                Shape(tuple(filter_dims), grad.shape.dtype),
-                attrs={
-                    "filter_dims": tuple(filter_dims),
-                    "stride": stride,
-                    "padding": padding,
-                },
-            )
+        return self._op(
+            "conv_grad_filter", [x, grad], grad.shape.dtype,
+            filter_dims=tuple(filter_dims), stride=stride, padding=padding,
         )
 
     def reduce(
@@ -194,60 +157,28 @@ class HloBuilder:
     # -- pooling / fused training ops ---------------------------------------------
 
     def avg_pool(self, x, pool: int, stride: int) -> HloInstruction:
-        shape = si.infer_pool(x.shape, pool, stride)
-        return self._add(
-            HloInstruction(
-                "avg_pool", [x], shape, attrs={"pool": pool, "stride": stride}
-            )
-        )
+        return self._op("avg_pool", [x], pool=pool, stride=stride)
 
     def avg_pool_grad(self, grad, input_dims, pool: int, stride: int):
-        return self._add(
-            HloInstruction(
-                "avg_pool_grad",
-                [grad],
-                Shape(tuple(input_dims), grad.shape.dtype),
-                attrs={
-                    "input_dims": tuple(input_dims),
-                    "pool": pool,
-                    "stride": stride,
-                },
-            )
+        return self._op(
+            "avg_pool_grad", [grad], grad.shape.dtype,
+            input_dims=tuple(input_dims), pool=pool, stride=stride,
         )
 
     def max_pool(self, x, pool: int, stride: int) -> HloInstruction:
-        shape = si.infer_pool(x.shape, pool, stride)
-        return self._add(
-            HloInstruction(
-                "max_pool", [x], shape, attrs={"pool": pool, "stride": stride}
-            )
-        )
+        return self._op("max_pool", [x], pool=pool, stride=stride)
 
     def max_pool_grad(self, x, grad, pool: int, stride: int):
-        return self._add(
-            HloInstruction(
-                "max_pool_grad",
-                [x, grad],
-                x.shape,
-                attrs={"pool": pool, "stride": stride},
-            )
-        )
+        return self._op("max_pool_grad", [x, grad], pool=pool, stride=stride)
 
     def one_hot(self, indices, depth: int) -> HloInstruction:
-        shape = Shape(indices.shape.dims + (depth,))
-        return self._add(
-            HloInstruction("one_hot", [indices], shape, attrs={"depth": depth})
-        )
+        return self._op("one_hot", [indices], depth=depth)
 
     def softmax_ce(self, logits, labels) -> HloInstruction:
-        return self._add(
-            HloInstruction("softmax_ce", [logits, labels], Shape(()))
-        )
+        return self._op("softmax_ce", [logits, labels])
 
     def softmax_ce_grad(self, logits, labels) -> HloInstruction:
-        return self._add(
-            HloInstruction("softmax_ce_grad", [logits, labels], logits.shape)
-        )
+        return self._op("softmax_ce_grad", [logits, labels])
 
     def tuple(self, elements: Sequence[HloInstruction]) -> HloInstruction:
         """Multi-output root: execution returns a Python tuple of arrays."""

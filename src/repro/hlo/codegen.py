@@ -46,6 +46,7 @@ from repro.hlo.ir import (
     HloInstruction,
     HloModule,
 )
+from repro.hlo.ops import HLO_OPS
 from repro.locks import named_rlock
 from repro.runtime import memory
 from repro.runtime.kernels import ITEMSIZE, KERNELS
@@ -122,6 +123,12 @@ def _raw_expr(inst: HloInstruction, a: list[str]) -> str:
     source-level mirror of ``_evaluate_raw``."""
     op = inst.opcode
     at = inst.attrs
+    row = HLO_OPS.get(op)
+    if row is not None:
+        if row.f32_accum:
+            a = [_acc_operand(o, x) for o, x in zip(inst.operands, a)]
+        literals = [_lit(v) for v in row.attr_values(at)]
+        return f"K[{row.kernel!r}](" + ", ".join(a + literals) + ")"
     if op == "convert":
         return f"cast({a[0]}, {at['new_dtype']!r})"
     if op in _UNARY_KERNELS:
@@ -132,40 +139,6 @@ def _raw_expr(inst: HloInstruction, a: list[str]) -> str:
         return f"CMP[{at['direction']!r}]({a[0]}, {a[1]})"
     if op == "not":
         return f"np.logical_not({a[0]})"
-    if op == "select":
-        return f"K['select']({a[0]}, {a[1]}, {a[2]})"
-    if op == "broadcast":
-        return f"K['broadcast_to']({a[0]}, {_lit(at['dims'])})"
-    if op == "reshape":
-        return f"K['reshape']({a[0]}, {_lit(at['dims'])})"
-    if op == "transpose":
-        return f"K['transpose']({a[0]}, {_lit(at['perm'])})"
-    if op == "pad":
-        return f"K['pad']({a[0]}, {_lit(at['paddings'])})"
-    if op == "slice":
-        return f"K['slice']({a[0]}, {_lit(at['starts'])}, {_lit(at['sizes'])})"
-    if op == "concatenate":
-        return "K['concat'](" + ", ".join(a) + f", {_lit(at['axis'])})"
-    if op == "dot":
-        x = _acc_operand(inst.operands[0], a[0])
-        y = _acc_operand(inst.operands[1], a[1])
-        return f"K['matmul']({x}, {y})"
-    if op == "convolution":
-        x = _acc_operand(inst.operands[0], a[0])
-        y = _acc_operand(inst.operands[1], a[1])
-        return (
-            f"K['conv2d']({x}, {y}, {_lit(at['stride'])}, {_lit(at['padding'])})"
-        )
-    if op == "conv_grad_input":
-        return (
-            f"K['conv2d_grad_input']({a[0]}, {a[1]}, {_lit(at['input_dims'])}, "
-            f"{_lit(at['stride'])}, {_lit(at['padding'])})"
-        )
-    if op == "conv_grad_filter":
-        return (
-            f"K['conv2d_grad_filter']({a[0]}, {a[1]}, {_lit(at['filter_dims'])}, "
-            f"{_lit(at['stride'])}, {_lit(at['padding'])})"
-        )
     if op == "reduce":
         kind = at["kind"]
         x = a[0]
@@ -182,28 +155,6 @@ def _raw_expr(inst: HloInstruction, a: list[str]) -> str:
             f"K[{_REDUCE_KERNELS[kind]!r}]({x}, {_lit(at['axes'])}, "
             f"{_lit(at['keepdims'])})"
         )
-    if op == "avg_pool":
-        return f"K['avg_pool2d']({a[0]}, {_lit(at['pool'])}, {_lit(at['stride'])})"
-    if op == "avg_pool_grad":
-        return (
-            f"K['avg_pool2d_grad']({a[0]}, {_lit(at['input_dims'])}, "
-            f"{_lit(at['pool'])}, {_lit(at['stride'])})"
-        )
-    if op == "max_pool":
-        return f"K['max_pool2d']({a[0]}, {_lit(at['pool'])}, {_lit(at['stride'])})"
-    if op == "max_pool_grad":
-        return (
-            f"K['max_pool2d_grad']({a[0]}, {a[1]}, {_lit(at['pool'])}, "
-            f"{_lit(at['stride'])})"
-        )
-    if op == "one_hot":
-        return f"K['one_hot']({a[0]}, {_lit(at['depth'])})"
-    if op == "iota":
-        return f"K['iota']({_lit(at['n'])})"
-    if op == "softmax_ce":
-        return f"K['softmax_cross_entropy']({a[0]}, {a[1]})"
-    if op == "softmax_ce_grad":
-        return f"K['softmax_cross_entropy_grad']({a[0]}, {a[1]})"
     raise HloError(f"no codegen lowering for opcode {op!r}")
 
 

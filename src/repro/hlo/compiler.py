@@ -27,6 +27,7 @@ import numpy as np
 from repro.errors import HloError
 from repro.hlo.dtypes import cast_array
 from repro.hlo.ir import BF16, F16, F64, HloInstruction, HloModule, NARROW_DTYPES
+from repro.hlo.ops import HLO_OPS
 from repro.hlo.passes import optimize
 from repro.hlo.printer import print_module
 from repro.runtime import memory
@@ -90,6 +91,13 @@ def _evaluate_raw(inst: HloInstruction, args: Sequence[np.ndarray]):
     op = inst.opcode
     if op == "constant":
         return inst.literal
+    row = HLO_OPS.get(op)
+    if row is not None:
+        if row.f32_accum:
+            # Tensor-core semantics for narrow dtypes: multiply narrow,
+            # accumulate in f32, round the result (the outer coercion).
+            args = [_f32_accum(a) for a in args]
+        return _K[row.kernel](*args, *row.attr_values(inst.attrs))
     if op == "convert":
         return cast_array(args[0], inst.attrs["new_dtype"])
     if op in _UNARY_KERNELS:
@@ -100,47 +108,6 @@ def _evaluate_raw(inst: HloInstruction, args: Sequence[np.ndarray]):
         return _COMPARE[inst.attrs["direction"]](args[0], args[1])
     if op == "not":
         return np.logical_not(args[0])
-    if op == "select":
-        return _K["select"](args[0], args[1], args[2])
-    if op == "broadcast":
-        return _K["broadcast_to"](args[0], inst.attrs["dims"])
-    if op == "reshape":
-        return _K["reshape"](args[0], inst.attrs["dims"])
-    if op == "transpose":
-        return _K["transpose"](args[0], inst.attrs["perm"])
-    if op == "pad":
-        return _K["pad"](args[0], inst.attrs["paddings"])
-    if op == "slice":
-        return _K["slice"](args[0], inst.attrs["starts"], inst.attrs["sizes"])
-    if op == "concatenate":
-        return _K["concat"](*args, inst.attrs["axis"])
-    if op == "dot":
-        # Tensor-core semantics for narrow dtypes: multiply narrow,
-        # accumulate in f32, round the result (the outer coercion).
-        return _K["matmul"](_f32_accum(args[0]), _f32_accum(args[1]))
-    if op == "convolution":
-        return _K["conv2d"](
-            _f32_accum(args[0]),
-            _f32_accum(args[1]),
-            inst.attrs["stride"],
-            inst.attrs["padding"],
-        )
-    if op == "conv_grad_input":
-        return _K["conv2d_grad_input"](
-            args[0],
-            args[1],
-            inst.attrs["input_dims"],
-            inst.attrs["stride"],
-            inst.attrs["padding"],
-        )
-    if op == "conv_grad_filter":
-        return _K["conv2d_grad_filter"](
-            args[0],
-            args[1],
-            inst.attrs["filter_dims"],
-            inst.attrs["stride"],
-            inst.attrs["padding"],
-        )
     if op == "reduce":
         kind = inst.attrs["kind"]
         x = args[0]
@@ -158,26 +125,6 @@ def _evaluate_raw(inst: HloInstruction, args: Sequence[np.ndarray]):
             kind
         ]
         return _K[kernel](x, inst.attrs["axes"], inst.attrs["keepdims"])
-    if op == "avg_pool":
-        return _K["avg_pool2d"](args[0], inst.attrs["pool"], inst.attrs["stride"])
-    if op == "avg_pool_grad":
-        return _K["avg_pool2d_grad"](
-            args[0], inst.attrs["input_dims"], inst.attrs["pool"], inst.attrs["stride"]
-        )
-    if op == "max_pool":
-        return _K["max_pool2d"](args[0], inst.attrs["pool"], inst.attrs["stride"])
-    if op == "max_pool_grad":
-        return _K["max_pool2d_grad"](
-            args[0], args[1], inst.attrs["pool"], inst.attrs["stride"]
-        )
-    if op == "one_hot":
-        return _K["one_hot"](args[0], inst.attrs["depth"])
-    if op == "iota":
-        return _K["iota"](inst.attrs["n"])
-    if op == "softmax_ce":
-        return _K["softmax_cross_entropy"](args[0], args[1])
-    if op == "softmax_ce_grad":
-        return _K["softmax_cross_entropy_grad"](args[0], args[1])
     raise HloError(f"no backend lowering for opcode {op!r}")
 
 

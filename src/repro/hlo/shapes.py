@@ -62,9 +62,11 @@ def infer_convert(operand: Shape, new_dtype: str) -> Shape:
 
 def infer_broadcast(operand: Shape, out_dims: tuple[int, ...]) -> Shape:
     try:
-        np.broadcast_shapes(operand.dims, out_dims)
-    except ValueError as exc:
-        raise ShapeError(f"cannot broadcast {operand} to {out_dims}") from exc
+        dims = np.broadcast_shapes(operand.dims, out_dims)
+    except ValueError:
+        dims = None
+    if dims != tuple(out_dims):
+        raise ShapeError(f"cannot broadcast {operand} to {out_dims}")
     return Shape(tuple(out_dims), operand.dtype)
 
 
@@ -93,10 +95,17 @@ def infer_dot(a: Shape, b: Shape) -> Shape:
     return Shape(batch + lead + (b.dims[-1],), dtype)
 
 
+def _axis(operand: Shape, axis: int, what: str) -> int:
+    """``axis`` as a non-negative index into ``operand``'s dims."""
+    if not -operand.rank <= axis < operand.rank:
+        raise ShapeError(f"{what} axis {axis} out of range for {operand}")
+    return axis % operand.rank
+
+
 def infer_reduce(operand: Shape, axes, keepdims: bool) -> Shape:
     if axes is None:
         axes = tuple(range(operand.rank))
-    axes = tuple(a % operand.rank for a in axes)
+    axes = tuple(_axis(operand, a, "reduce") for a in axes)
     dims = []
     for i, d in enumerate(operand.dims):
         if i in axes:
@@ -115,6 +124,8 @@ def conv_output_dims(
 ) -> tuple[int, ...]:
     n, h, w, cin = input_dims
     kh, kw, fcin, cout = filter_dims
+    if stride < 1:
+        raise ShapeError(f"conv stride {stride} must be positive")
     if cin != fcin:
         raise ShapeError(
             f"conv input channels {cin} != filter channels {fcin}"
@@ -143,6 +154,8 @@ def infer_pool(input: Shape, pool: int, stride: int) -> Shape:
     if input.rank != 4:
         raise ShapeError(f"pool expects NHWC, got {input}")
     n, h, w, c = input.dims
+    if pool < 1 or stride < 1:
+        raise ShapeError(f"pool window {pool} and stride {stride} must be positive")
     if h < pool or w < pool:
         raise ShapeError("pool window larger than input")
     oh = (h - pool) // stride + 1
@@ -163,14 +176,14 @@ def infer_slice(operand: Shape, starts, sizes) -> Shape:
     if len(starts) != operand.rank or len(sizes) != operand.rank:
         raise ShapeError("slice config rank mismatch")
     for d, b, s in zip(operand.dims, starts, sizes):
-        if b < 0 or b + s > d:
+        if b < 0 or s < 0 or b + s > d:
             raise ShapeError(f"slice [{b}:{b+s}] out of bounds for dim {d}")
     return Shape(tuple(sizes), operand.dtype)
 
 
 def infer_concat(shapes: list[Shape], axis: int) -> Shape:
     first = shapes[0]
-    axis %= first.rank
+    axis = _axis(first, axis, "concat")
     total = 0
     for s in shapes:
         if s.rank != first.rank:

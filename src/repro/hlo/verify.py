@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.errors import HloError, ShapeError
 from repro.hlo import shapes as si
+from repro.hlo.compiler import _COMPARE
 from repro.hlo.ir import (
     ELEMENTWISE,
     ELEMENTWISE_BINARY,
@@ -37,6 +38,7 @@ from repro.hlo.ir import (
     HloModule,
     Shape,
 )
+from repro.hlo.ops import HLO_OPS
 
 #: Opcodes legal inside a fusion region.
 _FUSION_REGION_OPCODES = ELEMENTWISE | {"constant", "broadcast", "parameter"}
@@ -171,54 +173,22 @@ def _infer_shape(inst: HloInstruction) -> Shape | None:
             raise ShapeError("constant without a literal")
         return Shape(tuple(int(d) for d in np.asarray(inst.literal).shape),
                      inst.shape.dtype)
+    row = HLO_OPS.get(op)
+    if row is not None:
+        return row.infer([o.shape for o in operands], attrs, inst.shape.dtype)
+    if op == "compare" and attrs.get("direction") not in _COMPARE:
+        raise ShapeError(
+            f"compare direction {attrs.get('direction')!r} is not one of "
+            f"{sorted(_COMPARE)}"
+        )
     if op in ELEMENTWISE_BINARY:
         return si.infer_elementwise_binary(op, operands[0].shape, operands[1].shape)
     if op in ELEMENTWISE_UNARY:
         return operands[0].shape
-    if op == "select":
-        return si.infer_select(
-            operands[0].shape, operands[1].shape, operands[2].shape
-        )
-    if op == "broadcast":
-        return si.infer_broadcast(operands[0].shape, tuple(attrs["dims"]))
-    if op == "reshape":
-        return si.infer_reshape(operands[0].shape, tuple(attrs["dims"]))
-    if op == "transpose":
-        return si.infer_transpose(operands[0].shape, tuple(attrs["perm"]))
     if op == "convert":
         return si.infer_convert(operands[0].shape, attrs["new_dtype"])
-    if op == "dot":
-        return si.infer_dot(operands[0].shape, operands[1].shape)
-    if op == "convolution":
-        return si.infer_conv(
-            operands[0].shape, operands[1].shape, attrs["stride"], attrs["padding"]
-        )
-    if op == "conv_grad_input":
-        return Shape(tuple(attrs["input_dims"]), inst.shape.dtype)
-    if op == "conv_grad_filter":
-        return Shape(tuple(attrs["filter_dims"]), inst.shape.dtype)
     if op == "reduce":
         return si.infer_reduce(operands[0].shape, attrs["axes"], attrs["keepdims"])
-    if op == "pad":
-        return si.infer_pad(operands[0].shape, attrs["paddings"])
-    if op == "slice":
-        return si.infer_slice(operands[0].shape, attrs["starts"], attrs["sizes"])
-    if op == "concatenate":
-        return si.infer_concat([o.shape for o in operands], attrs["axis"])
-    if op == "iota":
-        return Shape((attrs["n"],), inst.shape.dtype)
-    if op == "one_hot":
-        return Shape(operands[0].shape.dims + (attrs["depth"],), inst.shape.dtype)
-    if op in ("avg_pool", "max_pool"):
-        return si.infer_pool(operands[0].shape, attrs["pool"], attrs["stride"])
-    if op == "avg_pool_grad":
-        return Shape(tuple(attrs["input_dims"]), inst.shape.dtype)
-    if op == "max_pool_grad":
-        return operands[0].shape
-    if op == "softmax_ce":
-        return Shape((), inst.shape.dtype)
-    if op == "softmax_ce_grad":
-        return operands[0].shape
     if op == "tuple":
         return Shape((len(operands),), "tuple")
     if op == "fusion":
