@@ -196,8 +196,10 @@ def _wrapper_function(prim: Primitive) -> ir.Function:
 
 
 def _check_primitives(report: SelfCheckReport) -> None:
-    # Import for their registration side effects: tensor + structural prims.
+    # Import for their registration side effects: tensor, structural and
+    # layer prims (repro.nn registers dropout_apply and identity).
     import repro.core  # noqa: F401
+    import repro.nn  # noqa: F401
     import repro.tensor  # noqa: F401
 
     for name, prim in sorted(PRIMITIVES.items()):

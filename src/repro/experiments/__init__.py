@@ -3,28 +3,8 @@ paper's evaluation (Section 5).  Each module documents the paper's numbers,
 the substitutions made, and the shape being reproduced; EXPERIMENTS.md
 records paper-vs-measured for all of them."""
 
-from repro.experiments.codegen_audit import (
-    CodegenAuditResult,
-    CodegenAuditRow,
-    run_codegen_audit,
-)
-from repro.experiments.derivative_pruning import (
-    PruningResult,
-    PruningRow,
-    run_derivative_pruning,
-)
 from repro.experiments.figure4 import Figure4Result, run_figure4
-from repro.experiments.memory_plan import (
-    MemoryPlanResult,
-    MemoryPlanRow,
-    run_memory_plan,
-)
 from repro.experiments.figure9 import Figure9Point, render_figure9, run_figure9
-from repro.experiments.precision_audit import (
-    PrecisionAuditResult,
-    PrecisionAuditRow,
-    run_precision_audit,
-)
 from repro.experiments.table1 import (
     FULL_TPU_WORKLOAD,
     SCALED_TPU_WORKLOAD,
@@ -35,30 +15,13 @@ from repro.experiments.table1 import (
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import FULL_WORKLOAD, SCALED_WORKLOAD, Workload, run_table3
 from repro.experiments.table4 import run_table4
-from repro.experiments.trace_stability import (
-    TraceStabilityResult,
-    TraceStabilityRow,
-    run_trace_stability,
-)
 
 __all__ = [
-    "CodegenAuditResult",
-    "CodegenAuditRow",
-    "run_codegen_audit",
-    "PruningResult",
-    "PruningRow",
-    "run_derivative_pruning",
     "Figure4Result",
     "run_figure4",
-    "MemoryPlanResult",
-    "MemoryPlanRow",
-    "run_memory_plan",
     "Figure9Point",
     "render_figure9",
     "run_figure9",
-    "PrecisionAuditResult",
-    "PrecisionAuditRow",
-    "run_precision_audit",
     "FULL_TPU_WORKLOAD",
     "SCALED_TPU_WORKLOAD",
     "TPUWorkload",
@@ -70,7 +33,4 @@ __all__ = [
     "Workload",
     "run_table3",
     "run_table4",
-    "TraceStabilityResult",
-    "TraceStabilityRow",
-    "run_trace_stability",
 ]

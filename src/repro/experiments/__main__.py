@@ -14,17 +14,12 @@ import sys
 
 from repro.experiments import (
     render_figure9,
-    run_codegen_audit,
-    run_derivative_pruning,
     run_figure4,
     run_figure9,
-    run_memory_plan,
-    run_precision_audit,
     run_table1,
     run_table2,
     run_table3,
     run_table4,
-    run_trace_stability,
 )
 
 
@@ -45,11 +40,6 @@ EXPERIMENTS = {
     "table4": lambda: run_table4().render(),
     "figure4": _figure4_text,
     "figure9": lambda: render_figure9(run_figure9()),
-    "trace_stability": lambda: run_trace_stability().render(),
-    "derivative_pruning": lambda: run_derivative_pruning().render(),
-    "memory_plan": lambda: run_memory_plan().render(),
-    "precision_audit": lambda: run_precision_audit().render(),
-    "codegen_audit": lambda: run_codegen_audit().render(),
 }
 
 

@@ -26,6 +26,12 @@ class TestCorpusVerdicts:
         assert report.cross_check_ok
         # Every hazard comes with at least one located diagnostic.
         assert any(d.location.line > 0 for d in report.diagnostics)
+        # Pruning drops dead captures only; no other hazard loses one.
+        assert report.pruning is not None
+        if model.expect == "dead-capture":
+            assert report.pruning.entries_saved > 0
+        else:
+            assert report.pruning.entries_saved == 0
 
     def test_each_hazard_maps_to_exactly_one_verdict_class(self):
         for model in HAZARD_MODELS:

@@ -1,6 +1,5 @@
 """End-to-end memory planning over the seeded corpus: verdicts, the
-static-vs-dynamic peak cross-check, the CLI, the printer annotations, and
-the memory_plan experiment table."""
+static-vs-dynamic peak cross-check, the CLI and the printer annotations."""
 
 import pytest
 
@@ -157,14 +156,3 @@ def test_buffer_annotations_cover_every_instruction():
     assert set(notes) == {inst.id for inst in module.schedule()}
     assert all(note.startswith("{") and note.endswith("}") for note in notes.values())
 
-
-def test_memory_plan_experiment_table():
-    from repro.experiments import run_memory_plan
-
-    result = run_memory_plan()
-    assert result.ok
-    assert len(result.rows) == len(CORPUS)
-    assert {row.relation for row in result.rows} <= {"==", ">="}
-    rendered = result.render()
-    assert "every certified bound holds" in rendered
-    assert "✗" not in rendered

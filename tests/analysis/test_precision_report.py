@@ -1,6 +1,6 @@
 """End-to-end precision analysis over the seeded corpus: verdicts, the
 certified-contains-observed oracle cross-check, the CLI (--precision,
---list, --json), the selfcheck sweep, and the precision_audit table."""
+--list, --json) and the selfcheck sweep."""
 
 import json
 
@@ -239,15 +239,3 @@ def test_selfcheck_precision_sweep_counters():
     assert payload["ok"] is True
     assert payload["narrow_peak_bytes_saved"] == report.narrow_peak_bytes_saved
 
-
-def test_precision_audit_experiment_table():
-    from repro.experiments import run_precision_audit
-
-    result = run_precision_audit()
-    assert result.ok
-    assert len(result.rows) == len(CORPUS)
-    assert result.total_bytes_saved > 0
-    rendered = result.render()
-    assert "Precision audit" in rendered
-    assert "✗" not in rendered
-    assert "activation_halving_f16" in rendered

@@ -10,8 +10,10 @@ happens to quote does not, since that moves whenever some earlier step
 allocates HLO (or stops allocating it: a lazy cache hit lowers nothing).
 The digests were retaken with this normalizer at the commit before the
 lazy runtime keyed its compile cache on trace text, and read the same
-after it.  Runs are subprocesses, so other in-process work cannot shift
-the counters either.
+after it; the ``--self-check`` digest was retaken once more when the
+primitive sweep began importing ``repro.nn`` (two more primitives, and
+their plans).  Runs are subprocesses, so other in-process work cannot
+shift the counters either.
 
 Plus the CLI contracts the shared table guarantees: one mode flag per
 run, every listed name resolvable, ``--ownership all``, and ``-q``.
@@ -39,7 +41,7 @@ PINNED = {
     "--precision": "dc703e7b70bb5bb7b08f0baadb9ec4ee85509458ac308c9162b7e72924740f92",
     "--codegen": "b6f61da165927c06f06d3d60b57023738dd9ea8536f6817b1f92f0f71b6b98c6",
     "--list": "ec44a0c700fd5ea4b8eb7bc8f9562a422f924da18b9fd2c6c80b9eb45b9b17da",
-    "--self-check": "673d98b79814b80a1535d6081fe1a22f908fc14e874a58c06fa2471600bc973f",
+    "--self-check": "449263c815fd15c6a516ed2545a3f7e6b22de391b91bab9cbdde5f987265875c",
 }
 
 _PAYLOADS = {}
@@ -88,6 +90,15 @@ def test_json_payload_matches_its_pin(flag):
     text = json.dumps(_without_locations(_payload(flag)), separators=(",", ":"))
     text = _value_names_renamed(text)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[flag]
+
+
+def test_self_check_counts_equal_the_benchmark_expectations():
+    """A standalone ``--self-check`` reads every count the repo benchmark
+    pins, so moving one fails here with the key named."""
+    with open(os.path.join(ROOT, "benchmarks", "e2e", "expected.json")) as f:
+        expected = json.load(f)
+    payload = _payload("--self-check")
+    assert {key: payload.get(key) for key in expected} == expected
 
 
 @pytest.mark.parametrize(
