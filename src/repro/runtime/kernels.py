@@ -8,7 +8,12 @@ FLOP and memory-traffic estimator consumed by the simulated-device cost
 model.
 
 Convolutions use im2col (vectorized NumPy, per the project's performance
-guidance) rather than Python loops.
+guidance) rather than Python loops.  Average pooling sums its ``pool**2``
+strided windows of the input in place instead of copying a patch matrix,
+and ``select`` picks float32 bits through an all-ones/all-zeros mask
+instead of branching per element.  Every rewrite returns the bits the
+plain NumPy formulation returned (same accumulation order, NumPy's dtype
+rules) and an owning array wherever that formulation did.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ ITEMSIZE = 4
 
 
 def _numel(shape) -> int:
-    return int(np.prod(shape)) if shape else 1
+    return int(math.prod(shape))
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ def sqrt(x):
 
 @kernel("rsqrt", elementwise=True, flops_per_element=4.0)
 def rsqrt(x):
-    return (1.0 / np.sqrt(x)).astype(DTYPE)
+    return (1.0 / np.sqrt(x)).astype(DTYPE, copy=False)
 
 
 @kernel("tanh", elementwise=True, flops_per_element=10.0)
@@ -139,12 +144,12 @@ def tanh(x):
 
 @kernel("sigmoid", elementwise=True, flops_per_element=10.0)
 def sigmoid(x):
-    return (1.0 / (1.0 + np.exp(-x))).astype(DTYPE)
+    return (1.0 / (1.0 + np.exp(-x))).astype(DTYPE, copy=False)
 
 
 @kernel("relu", elementwise=True)
 def relu(x):
-    return np.maximum(x, 0.0).astype(DTYPE)
+    return np.maximum(x, 0.0).astype(DTYPE, copy=False)
 
 
 @kernel("abs", elementwise=True)
@@ -154,7 +159,7 @@ def abs_(x):
 
 @kernel("sign", elementwise=True)
 def sign(x):
-    return np.sign(x).astype(DTYPE)
+    return np.sign(x).astype(DTYPE, copy=False)
 
 
 @kernel("maximum", elementwise=True)
@@ -169,7 +174,26 @@ def minimum(x, y):
 
 @kernel("select", elementwise=True)
 def select(cond, x, y):
-    return np.where(cond, x, y).astype(DTYPE)
+    """``np.where(cond, x, y).astype(DTYPE)`` without a branch per element.
+
+    ``x`` and ``y`` pass through their common dtype to float32, as the
+    ``np.where`` result did; then ``(x_bits & m) | (y_bits & ~m)`` picks
+    bits under a uint32 mask ``m`` that is all ones where ``cond`` is
+    truthy (NaN included) and all zeros elsewhere."""
+    dtype = np.result_type(x, y)
+    x = np.asarray(x, dtype).astype(DTYPE, copy=False)
+    y = np.asarray(y, dtype).astype(DTYPE, copy=False)
+    cond = np.asarray(cond).astype(bool, copy=False)
+    shape = np.broadcast_shapes(cond.shape, x.shape, y.shape)
+    out = np.empty(shape, DTYPE)
+    bits = out.view(np.uint32)
+    mask = np.empty(shape, np.uint32)
+    np.negative(cond, out=mask, dtype=np.uint32)
+    np.bitwise_and(np.broadcast_to(x, shape).view(np.uint32), mask, out=bits)
+    np.invert(mask, out=mask)
+    np.bitwise_and(np.broadcast_to(y, shape).view(np.uint32), mask, out=mask)
+    np.bitwise_or(bits, mask, out=bits)
+    return out
 
 
 @kernel("greater", elementwise=True)
@@ -296,7 +320,7 @@ def _matmul_flops(out_shape, in_shapes):
 
 @kernel("matmul", flops_fn=_matmul_flops)
 def matmul(a, b):
-    return np.matmul(a, b).astype(DTYPE)
+    return np.matmul(a, b).astype(DTYPE, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +418,37 @@ def _pool_flops(out_shape, in_shapes):
 
 @kernel("avg_pool2d", flops_fn=_pool_flops)
 def avg_pool2d(x, pool, stride):
-    cols, (oh, ow) = _im2col_pool(x, pool, stride)
-    return cols.mean(axis=3).astype(DTYPE)
+    """The mean of each window with ``np.mean``'s dtype rules: the sum
+    accumulates in the input dtype (float32 for float16, rounded back
+    after the divide; float64 for integers) and the windows are added in
+    (i, j) order, which is the order ``mean(axis=3)`` adds a patch matrix
+    whose channel axis is innermost.  With one channel the patch axis
+    itself is innermost and NumPy sums it pairwise, so ``c == 1`` keeps
+    the patch matrix."""
+    n, h, w, c = x.shape
+    if c == 1:
+        cols, _ = _im2col_pool(x, pool, stride)
+        return cols.mean(axis=3).astype(DTYPE)
+    oh = (h - pool) // stride + 1
+    ow = (w - pool) // stride + 1
+    accum = x.dtype
+    if x.dtype == np.float16:
+        accum = np.float32
+    elif not np.issubdtype(x.dtype, np.inexact):
+        accum = np.float64
+    windows = [
+        x[:, i : i + oh * stride : stride, j : j + ow * stride : stride, :]
+        for i in range(pool)
+        for j in range(pool)
+    ]
+    # NumPy's sum starts from +0.0, which turns a leading -0.0 into +0.0.
+    total = np.add(windows[0], 0.0, dtype=accum)
+    for window in windows[1:]:
+        total += window
+    np.true_divide(total, np.intp(pool * pool), out=total, casting="unsafe")
+    if x.dtype == np.float16:
+        total = total.astype(np.float16)
+    return total.astype(DTYPE, copy=False)
 
 
 @kernel("avg_pool2d_grad", flops_fn=_pool_flops)
@@ -457,7 +510,7 @@ def _im2col_pool(x, pool, stride):
 def softmax(logits):
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return (e / e.sum(axis=-1, keepdims=True)).astype(DTYPE)
+    return (e / e.sum(axis=-1, keepdims=True)).astype(DTYPE, copy=False)
 
 
 @kernel("softmax_cross_entropy", flops_per_element=14.0)
@@ -472,4 +525,4 @@ def softmax_cross_entropy(logits, labels):
 @kernel("softmax_cross_entropy_grad", flops_per_element=14.0)
 def softmax_cross_entropy_grad(logits, labels):
     p = softmax.fn(logits)
-    return ((p - labels) / logits.shape[0]).astype(DTYPE)
+    return ((p - labels) / logits.shape[0]).astype(DTYPE, copy=False)

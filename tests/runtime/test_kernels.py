@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.runtime.kernels import (
+    DTYPE,
     KERNELS,
+    _numel,
     avg_pool2d,
     avg_pool2d_grad,
     conv2d,
@@ -16,6 +18,11 @@ from repro.runtime.kernels import (
     one_hot,
     reduce_mean,
     reduce_sum,
+    relu,
+    rsqrt,
+    select,
+    sigmoid,
+    sign,
     softmax,
     softmax_cross_entropy,
     softmax_cross_entropy_grad,
@@ -184,3 +191,151 @@ def test_one_hot():
 def test_traffic_estimate_counts_inputs_and_outputs():
     k = KERNELS["add"]
     assert k.traffic((10,), [(10,), (10,)]) == 30 * 4
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracles: the plain NumPy formulations the branch-free select,
+# the strided-window average pooling and _numel replaced.  A rewrite must
+# return the same bits and an owning array wherever these did.
+# ---------------------------------------------------------------------------
+
+
+def _reference_numel(shape) -> int:
+    return int(np.prod(shape)) if shape else 1
+
+
+def _reference_select(cond, x, y):
+    return np.where(cond, x, y).astype(DTYPE)
+
+
+def _reference_avg_pool2d(x, pool, stride):
+    n, h, w, c = x.shape
+    oh = (h - pool) // stride + 1
+    ow = (w - pool) // stride + 1
+    s0, s1, s2, s3 = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, oh, ow, pool, pool, c),
+        strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
+        writeable=False,
+    )
+    return patches.reshape(n, oh, ow, pool * pool, c).mean(axis=3).astype(DTYPE)
+
+
+def _assert_same_bits(got, expected):
+    assert type(got) is type(expected)
+    assert got.dtype == expected.dtype == DTYPE
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+    assert (got.base is None) == (expected.base is None)
+
+
+FLOAT_DTYPES = [np.float16, np.float32, np.float64]
+
+
+def _with_specials(shape, dtype, seed):
+    """Random values over several magnitudes with NaN, +-inf, +-0.0 and
+    subnormals sprinkled in, plus one all -0.0 corner."""
+    r = np.random.default_rng(seed)
+    values = r.standard_normal(shape) * r.choice([1e-3, 1.0, 1e3], size=shape)
+    values = values.astype(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 3 * tiny])
+    flat = values.reshape(-1)
+    picks = r.choice(flat.size, size=max(1, flat.size // 10), replace=False)
+    flat[picks] = specials[r.integers(0, len(specials), picks.size)].astype(dtype)
+    values[:, :3, :3, :] = -0.0
+    return values
+
+
+#: (input shape, pool, stride): LeNet's two activations, c == 1,
+#: overlapping windows, odd sizes the windows do not divide, pool == 1.
+POOL_CASES = [
+    ((32, 28, 28, 6), 2, 2),
+    ((32, 10, 10, 16), 2, 2),
+    ((3, 8, 8, 1), 2, 2),
+    ((2, 9, 7, 1), 3, 1),
+    ((2, 9, 7, 1), 3, 2),
+    ((2, 8, 8, 3), 3, 1),
+    ((2, 7, 9, 4), 2, 1),
+    ((2, 11, 9, 5), 3, 2),
+    ((2, 7, 9, 2), 2, 2),
+    ((1, 6, 6, 3), 4, 4),
+    ((2, 5, 5, 3), 1, 1),
+]
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("shape,pool,stride", POOL_CASES, ids=str)
+def test_avg_pool2d_bits_match_reference(shape, pool, stride, dtype):
+    x = _with_specials(shape, dtype, seed=sum(shape) + pool + stride)
+    _assert_same_bits(avg_pool2d(x, pool, stride), _reference_avg_pool2d(x, pool, stride))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.bool_], ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("shape,pool,stride", POOL_CASES, ids=str)
+def test_avg_pool2d_integer_input_bits_match_reference(shape, pool, stride, dtype):
+    # np.mean accumulates integer and bool input in float64.
+    r = np.random.default_rng(sum(shape) + pool)
+    x = r.integers(-(2**30), 2**30, size=shape).astype(dtype)
+    _assert_same_bits(avg_pool2d(x, pool, stride), _reference_avg_pool2d(x, pool, stride))
+
+
+def _select_cases():
+    r = np.random.default_rng(11)
+    full = (32, 28, 28, 6)
+    mask = r.standard_normal(full) > 0
+    for dtype in FLOAT_DTYPES:
+        x = _with_specials(full, dtype, seed=1)
+        y = _with_specials(full, dtype, seed=2)
+        name = np.dtype(dtype).name
+        yield f"relu-mask-{name}", (mask, x, y)
+        yield f"scalar-y-{name}", (mask, x, 0.0)
+        yield f"scalar-x-{name}", (mask, dtype(-0.0), y)
+        yield f"lower-rank-y-{name}", (mask, x, y[0, 0, 0])
+        yield f"lower-rank-cond-{name}", (mask[0, :, :, :1], x, y)
+    fcond = _with_specials((4, 5, 6, 3), np.float32, seed=3)
+    a = r.standard_normal((4, 5, 6, 3)).astype(np.float32)
+    yield "float-cond-with-nan", (fcond, a, -a)
+    yield "f64-cond-f32-x-f64-y", (fcond.astype(np.float64), a, a.astype(np.float64) / 3)
+    yield "mixed-f16-f32", (mask[:2], x[:2].astype(np.float16), y[:2].astype(np.float32))
+    yield "0-d", (np.array(True), np.array(2.5, np.float32), np.array(-1.0, np.float32))
+    yield "0-d-false-scalars", (np.array(0.0), 1.5, -0.0)
+    yield "python-scalars", (True, 0.1, 0.2)
+    yield "int-branches", (mask[0, 0], np.arange(6 * 28).reshape(28, 6), 7)
+
+
+SELECT_CASES = dict(_select_cases())
+
+
+@pytest.mark.parametrize("case", list(SELECT_CASES))
+def test_select_bits_match_reference(case):
+    cond, x, y = SELECT_CASES[case]
+    _assert_same_bits(select(cond, x, y), _reference_select(cond, x, y))
+
+
+@pytest.mark.parametrize(
+    "shape", [(), (0,), (7,), (3, 4), (32, 28, 28, 6), (np.int64(5), 2)], ids=str
+)
+def test_numel_matches_reference(shape):
+    got = _numel(shape)
+    assert type(got) is int and got == _reference_numel(shape)
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES, ids=lambda d: np.dtype(d).name)
+def test_cast_free_kernels_return_owning_float32(dtype):
+    x = rng.standard_normal((4, 10)).astype(dtype)
+    labels = one_hot(np.array([1, 3, 5, 7]), 10)
+    results = [
+        relu(x),
+        sign(x),
+        rsqrt(np.abs(x) + 1),
+        sigmoid(x),
+        matmul(x, x.T),
+        softmax(x),
+        softmax_cross_entropy_grad(x, labels),
+    ]
+    for result in results:
+        assert result.dtype == DTYPE and result.base is None
+        assert not np.shares_memory(result, x)
