@@ -80,9 +80,11 @@ class TermTable:
         if (
             name in COMMUTATIVE_KERNELS
             and len(args) == 2
-            and all(a[0] == TERM for a in args)
+            and args[0][0] == TERM
+            and args[1][0] == TERM
+            and args[1][1] < args[0][1]
         ):
-            args = sorted(args, key=lambda a: a[1])
+            args = [args[1], args[0]]
         return self.intern(("kernel:" + name,) + tuple(args))
 
     def cast(self, dtype: str, tid: int) -> int:

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import Optional
 
 import numpy as np
 
-from repro.errors import Diagnostic, SourceLocation
+from repro.errors import Diagnostic, HloError, SourceLocation
 from repro.hlo.codegen import _REDUCE_KERNELS, _hoisted_constant, freeze
 from repro.hlo.compiler import _BINARY_KERNELS, _UNARY_KERNELS
 from repro.hlo.dtypes import np_dtype_of
@@ -187,10 +188,50 @@ class FunctionExec:
     ret_term: Optional[int] = None
     ret_lineno: int = 0
     errors: list[Diagnostic] = field(default_factory=list)
+    #: The parsed source, so a certified translation compiles the very
+    #: tree it was proven on without parsing the text again.
+    tree: Optional[ast.Module] = None
+
+
+def _frozen(value, node: ast.AST):
+    try:
+        return freeze(value)
+    except HloError as exc:
+        raise _Reject(str(exc), node) from None
+
+
+#: What :func:`_read_constant` returns for a node it cannot read.
+_UNREAD = object()
+
+
+def _read_constant(node: ast.AST):
+    """The value of a constant, or of a tuple of constants, read off the
+    tree; ``_UNREAD`` for any other node."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Tuple):
+        values = tuple(_read_constant(e) for e in node.elts)
+        if not any(v is _UNREAD for v in values):
+            return values
+    return _UNREAD
+
+
+def _literal_value(node: ast.AST):
+    """What ``ast.literal_eval(node)`` returns, raising as it does.  The
+    constants the emitter writes are read directly: each ``literal_eval``
+    call also builds a reference cycle of closures for the collector."""
+    value = _read_constant(node)
+    return ast.literal_eval(node) if value is _UNREAD else value
 
 
 def _literal(node: ast.AST):
-    return freeze(ast.literal_eval(node))
+    """The frozen value of a literal-only slot (a helper's dtype, axes,
+    kind ...); anything but a literal is rejected."""
+    try:
+        value = _literal_value(node)
+    except (ValueError, TypeError):
+        raise _Reject(f"expected a literal, found {ast.dump(node)[:60]}", node) from None
+    return _frozen(value, node)
 
 
 class _SymbolicEvaluator:
@@ -198,6 +239,8 @@ class _SymbolicEvaluator:
         self.consts = consts
         self.env = env
         self.table = table
+        #: Pool index -> term, interned on the first read of ``C[i]``.
+        self.pool_terms: dict[int, int] = {}
 
     def eval(self, node: ast.AST) -> int:
         if isinstance(node, ast.Name):
@@ -219,20 +262,35 @@ class _SymbolicEvaluator:
         if not (isinstance(node.value, ast.Name) and node.value.id == "C"):
             raise _Reject("only the constant pool C[...] may be subscripted", node)
         try:
-            index = ast.literal_eval(node.slice)
-        except ValueError:
+            index = _literal_value(node.slice)
+        except (ValueError, TypeError):
             raise _Reject("constant pool index must be a literal", node) from None
         if not isinstance(index, int) or not 0 <= index < len(self.consts):
             raise _Reject(f"constant pool index {index!r} out of range", node)
-        return self.table.const(self.consts[index])
+        term = self.pool_terms.get(index)
+        if term is None:
+            term = self.pool_terms[index] = self.table.const(self.consts[index])
+        return term
 
     def _call_args(self, node: ast.Call) -> list[tuple]:
+        """Each argument as a term reference or a frozen literal, classified
+        by node type: names, calls and subscripts are values, constants
+        (and tuples of them) are literals, and any other node is a literal
+        if ``literal_eval`` reads it (``-1``) and a value otherwise
+        (``(p0, p1)``)."""
         encoded: list[tuple] = []
         for arg in node.args:
+            if isinstance(arg, (ast.Name, ast.Call, ast.Subscript)):
+                encoded.append((TERM, self.eval(arg)))
+                continue
             try:
-                encoded.append((LIT, _literal(arg)))
+                value = _literal_value(arg)
             except ValueError:
                 encoded.append((TERM, self.eval(arg)))
+            except TypeError:
+                raise _Reject(f"unhashable literal {ast.dump(arg)[:60]}", arg) from None
+            else:
+                encoded.append((LIT, _frozen(value, arg)))
         return encoded
 
     def _call(self, node: ast.Call) -> int:
@@ -242,14 +300,20 @@ class _SymbolicEvaluator:
         # K['name'](...) / CMP['dir'](...)
         if isinstance(func, ast.Subscript) and isinstance(func.value, ast.Name):
             try:
-                selector = ast.literal_eval(func.slice)
-            except ValueError:
+                selector = _literal_value(func.slice)
+            except (ValueError, TypeError):
                 raise _Reject("kernel selector must be a literal", node) from None
             if func.value.id == "K":
+                if not isinstance(selector, str):
+                    raise _Reject(f"kernel name {selector!r} is not a string", node)
                 return self.table.kernel(selector, self._call_args(node))
             if func.value.id == "CMP":
                 if len(node.args) != 2:
                     raise _Reject("compare takes two operands", node)
+                try:
+                    hash(selector)
+                except TypeError:
+                    raise _Reject(f"compare direction {selector!r} is unhashable", node) from None
                 return self.table.compare(
                     selector, self.eval(node.args[0]), self.eval(node.args[1])
                 )
@@ -321,6 +385,7 @@ def function_terms(
     except SyntaxError as exc:
         error(f"emitted source does not parse: {exc.msg}", exc.lineno or 0)
         return execd
+    execd.tree = tree
     functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
     if len(functions) != 1:
         error("emitted source must define exactly one function", 1)
@@ -381,6 +446,9 @@ class ValidationResult:
     term_count: int = 0
     #: Label of the first divergent value, when rejected.
     divergent_value: Optional[str] = None
+    #: The certified source compiled from the tree the proof walked (what
+    #: ``compile_step`` executes); ``None`` when rejected.
+    code: Optional[CodeType] = None
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -455,4 +523,5 @@ def validate_translation(
         checked_values=len(expected) + 1,
         term_count=len(table),
         divergent_value=divergent,
+        code=compile(execd.tree, filename, "exec") if certified else None,
     )

@@ -142,19 +142,17 @@ def _donation_candidate(
         # interval ends here, and no other value shares its buffer later.
         if liveness.intervals[op.id][1] != v.position:
             continue
-        if any(d == op.id for d in plan.donations.values()):
+        if any(a.donated_from == op.id for a in plan.assignments.values()):
             continue  # already donated to a sibling at this position
         return op.id
     return None
 
 
 def _count_interference(liveness: LivenessInfo) -> int:
-    ids = sorted(liveness.intervals)
+    spans = list(liveness.intervals.values())
     edges = 0
-    for i, a in enumerate(ids):
-        sa, ea = liveness.intervals[a]
-        for b in ids[i + 1 :]:
-            sb, eb = liveness.intervals[b]
+    for i, (sa, ea) in enumerate(spans):
+        for sb, eb in spans[i + 1 :]:
             if sa <= eb and sb <= ea:
                 edges += 1
     return edges

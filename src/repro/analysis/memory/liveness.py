@@ -163,15 +163,19 @@ class _Builder:
 
     def build(self) -> LivenessInfo:
         schedule = self.module.schedule()
-        position = {inst.id: p for p, inst in enumerate(schedule)}
+        values = self.values
         resident_bytes = 0
+        intervals: dict[int, tuple[int, int]] = {}
+        direct: dict[int, tuple[int, int]] = {}
 
+        # One pass in schedule order: operands come before their users, so
+        # a value's facts exist before any use extends its intervals.
         for p, inst in enumerate(schedule):
             category, nbytes = self._categorize(inst)
             roots = self._storage_roots(inst, category)
             if category == RESIDENT:
                 resident_bytes += inst.shape.storage_bytes
-            self.values[inst.id] = ValueInfo(
+            info = values[inst.id] = ValueInfo(
                 inst_id=inst.id,
                 name=inst.name,
                 opcode=inst.opcode,
@@ -180,22 +184,17 @@ class _Builder:
                 position=p,
                 storage_roots=roots,
             )
-
-        last = len(schedule) - 1
-        intervals: dict[int, tuple[int, int]] = {}
-        direct: dict[int, tuple[int, int]] = {}
-        for inst in schedule:
-            v = self.values[inst.id]
-            if v.planned:
-                intervals[inst.id] = (v.position, v.position)
-                direct[inst.id] = (v.position, v.position)
-        for p, inst in enumerate(schedule):
+            if info.planned:
+                intervals[inst.id] = (p, p)
+                direct[inst.id] = (p, p)
             for op in inst.operands:
                 if op.id in direct:
                     direct[op.id] = (direct[op.id][0], max(direct[op.id][1], p))
-                for root in self.values[op.id].storage_roots:
+                for root in values[op.id].storage_roots:
                     lo, hi = intervals[root]
                     intervals[root] = (lo, max(hi, p))
+
+        last = len(schedule) - 1
         # Storage reachable from the root survives to the end of the run.
         root = self.module.entry.root
         root_info = self.values[root.id]

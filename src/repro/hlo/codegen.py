@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from types import CodeType
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -291,12 +292,15 @@ def emit_module(module: HloModule, key: Optional[str] = None) -> GeneratedStep:
     )
 
 
-def compile_step(generated: GeneratedStep) -> Callable:
-    """``compile()``/``exec`` the emitted source once, returning the function.
+def compile_step(generated: GeneratedStep, code: Optional[CodeType] = None) -> Callable:
+    """``exec`` the step's code once, returning the function.
 
-    The namespace binds exactly the helpers the emitter references — the
-    kernel table, the compare table, the constant pool, and the three
-    dtype-semantics helpers shared with the interpreter.
+    ``code`` is what the validator compiled from the syntax tree it proved
+    (``ValidationResult.code``), so the function that runs is the one that
+    was certified and the source is parsed once; without it the source is
+    compiled here.  The namespace binds exactly the helpers the emitter
+    references — the kernel table, the compare table, the constant pool,
+    and the three dtype-semantics helpers shared with the interpreter.
     """
     namespace = {
         "np": np,
@@ -307,7 +311,8 @@ def compile_step(generated: GeneratedStep) -> Callable:
         "f32acc": _f32_accum,
         "narrow_reduce": _narrow_accum_reduce,
     }
-    code = compile(generated.source, generated.filename, "exec")
+    if code is None:
+        code = compile(generated.source, generated.filename, "exec")
     exec(code, namespace)
     return namespace["step"]
 
@@ -444,7 +449,7 @@ def generate_certified(
     generated, result = cached
     if not result.certified:
         return interpreted
-    fn = compile_step(generated)
+    fn = compile_step(generated, result.code)
     with _LOCK:
         STATS.installs += 1
     return CodegenExecutable(module, interpreted, generated, fn)

@@ -238,31 +238,30 @@ class HloComputation:
 
     def post_order(self) -> list[HloInstruction]:
         """Topological (post-)order of instructions reachable from the root."""
-        if self.root is None:
+        root = self.root
+        if root is None:
             raise HloError(f"computation {self.name} has no root")
+        # Depth-first over operands left to right, one operand iterator per
+        # open instruction: an instruction is marked when first reached
+        # (the graph is acyclic, so no open instruction is reached again)
+        # and emitted once its last operand is done — at once, for a leaf.
         order: list[HloInstruction] = []
-        seen: set[int] = set()
-        stack: list[tuple[HloInstruction, bool]] = [(self.root, False)]
-        while stack:
-            inst, expanded = stack.pop()
-            if inst.id in seen:
-                continue
-            if expanded:
-                seen.add(inst.id)
-                order.append(inst)
+        seen = {root}
+        insts = [root]
+        iters = [iter(root.operands)]
+        while iters:
+            for op in iters[-1]:
+                if op not in seen:
+                    seen.add(op)
+                    if op.operands:
+                        insts.append(op)
+                        iters.append(iter(op.operands))
+                        break
+                    order.append(op)
             else:
-                stack.append((inst, True))
-                for op in reversed(inst.operands):
-                    if op.id not in seen:
-                        stack.append((op, False))
+                iters.pop()
+                order.append(insts.pop())
         return order
-
-    def users(self) -> dict[int, list[HloInstruction]]:
-        table: dict[int, list[HloInstruction]] = {}
-        for inst in self.post_order():
-            for op in inst.operands:
-                table.setdefault(op.id, []).append(inst)
-        return table
 
     def use_counts(self) -> dict[int, int]:
         """Operand-slot use counts over the schedule (an operand appearing

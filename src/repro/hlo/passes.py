@@ -24,18 +24,29 @@ from repro.hlo.ir import (
 
 def _replace_uses(comp: HloComputation, old: HloInstruction, new: HloInstruction):
     for inst in comp.instructions:
-        inst.operands = [new if op is old else op for op in inst.operands]
+        # ``in`` compares by identity: instructions define no ``__eq__``.
+        if old in inst.operands:
+            inst.operands = [new if op is old else op for op in inst.operands]
     if comp.root is old:
         comp.root = new
 
 
 def _prune(comp: HloComputation) -> None:
     """Dead-code elimination: keep parameters plus everything reachable."""
-    reachable = {i.id for i in comp.post_order()}
+    if comp.root is None:
+        raise HloError(f"computation {comp.name} has no root")
+    # Reachability only, so no post-order list: a plain stack walk.
+    reachable = {comp.root}
+    stack = [comp.root]
+    while stack:
+        for op in stack.pop().operands:
+            if op not in reachable:
+                reachable.add(op)
+                stack.append(op)
     comp.instructions = [
         i
         for i in comp.instructions
-        if i.id in reachable or i.opcode == "parameter"
+        if i in reachable or i.opcode == "parameter"
     ]
 
 
@@ -200,8 +211,8 @@ def _cse_key(inst: HloInstruction):
             inst.literal.shape,
             inst.literal.tobytes(),
         )
-    attrs = tuple(sorted((k, repr(v)) for k, v in inst.attrs.items()))
-    return (inst.opcode, tuple(o.id for o in inst.operands), attrs)
+    attrs = tuple(sorted((k, repr(v)) for k, v in inst.attrs.items())) if inst.attrs else ()
+    return (inst.opcode, tuple([o.id for o in inst.operands]), attrs)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +233,11 @@ def fuse_elementwise(module: HloModule) -> bool:
     already in the region — so fused work is never duplicated.
     """
     comp = module.entry
-    users = comp.users()
     order = comp.post_order()
+    users: dict[int, list[HloInstruction]] = {}
+    for inst in order:
+        for op in inst.operands:
+            users.setdefault(op.id, []).append(inst)
     in_region: set[int] = set()
     changed = False
 
@@ -292,27 +306,34 @@ def _build_fusion(comp, root, region) -> HloInstruction:
         inner.add(param)
         mapping[ext.id] = param
 
-    def clone(inst: HloInstruction) -> HloInstruction:
-        if inst.id in mapping:
-            return mapping[inst.id]
-        operands = [clone(op) for op in inst.operands]
+    inner.set_root(_clone_into(inner, root, mapping))
+    fusion = HloInstruction(
+        "fusion", external, root.shape, fused_computation=inner
+    )
+    comp.add(fusion)
+    return fusion
+
+
+def _clone_into(
+    inner: HloComputation, inst: HloInstruction, mapping: dict[int, HloInstruction]
+) -> HloInstruction:
+    """Copy ``inst`` into ``inner``, unmapped operands first.
+
+    A module-level function rather than a closure: a closure that calls
+    itself is a reference cycle, left for the garbage collector to find.
+    """
+    copy = mapping.get(inst.id)
+    if copy is None:
         copy = HloInstruction(
             inst.opcode,
-            operands,
+            [_clone_into(inner, op, mapping) for op in inst.operands],
             inst.shape,
             attrs=dict(inst.attrs),
             literal=inst.literal,
         )
         inner.add(copy)
         mapping[inst.id] = copy
-        return copy
-
-    inner.set_root(clone(root))
-    fusion = HloInstruction(
-        "fusion", external, root.shape, fused_computation=inner
-    )
-    comp.add(fusion)
-    return fusion
+    return copy
 
 
 def _checked(pass_name: str, module: HloModule, before: str) -> None:

@@ -2,6 +2,8 @@
 commutative sorting), certification of real emissions, and rejection with
 located diagnostics of every seeded-miscompile class."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,12 +140,56 @@ def test_dropped_value_is_located():
     assert result.errors
 
 
+#: Helper calls whose literal slot holds a non-literal, literals that no
+#: emitted term can hold (dict, set, bytes, complex, unhashable), and
+#: table selectors that name no kernel or compare direction.
+_BAD_LITERAL_LINES = [
+    "cast(p0, p0)",
+    "narrow_reduce(p0, p0, False, 'sum', 'f16')",
+    "K['transpose'](p0, {1: 0})",
+    "K['transpose'](p0, {1, 0})",
+    "K['transpose'](p0, b'10')",
+    "K['transpose'](p0, 1j)",
+    "cast(p0, {1: 2})",
+    "K['transpose'](p0, {(1, [0]): 0})",
+    "K[1](p0)",
+    "CMP[[1]](p0, p1)",
+]
+
+
 def test_foreign_constructs_are_rejected_not_executed():
     module = _sub_chain_module()
     bad = "def step(p0, p1):\n    import os\n    return p0\n"
     result = validate_translation(module, bad, ())
     assert not result.certified
     assert result.errors
+    for expr in _BAD_LITERAL_LINES:
+        bad = f"def step(p0, p1):\n    v0 = {expr}\n    return v0\n"
+        result = validate_translation(module, bad, ())
+        assert not result.certified, expr
+        assert result.code is None, expr
+        assert [d.location.line for d in result.errors] == [2], expr
+
+
+def test_generate_certified_falls_back_on_a_bad_literal(monkeypatch):
+    from repro.hlo import codegen
+    from repro.hlo.compiler import Executable
+
+    module = _sub_chain_module()
+    emitted = emit_module(module)
+    monkeypatch.setattr(
+        codegen,
+        "emit_module",
+        lambda m, key=None: dataclasses.replace(
+            emitted, source="def step(p0, p1):\n    v0 = cast(p0, p0)\n    return v0\n"
+        ),
+    )
+    codegen.clear_source_cache()
+    interpreted = Executable(module)
+    try:
+        assert codegen.generate_certified(module, interpreted, key="bad-literal") is interpreted
+    finally:
+        codegen.clear_source_cache()
 
 
 # -- the seeded miscompile corpus -------------------------------------------
