@@ -111,7 +111,6 @@ _LAZY = {
     "verify_derivatives": ("repro.analysis.derivatives", "verify_derivatives"),
     "DerivativeReport": ("repro.analysis.derivatives", "DerivativeReport"),
     "analyze_runtime": ("repro.analysis.concurrency", "analyze_runtime"),
-    "analyze_corpus": ("repro.analysis.concurrency", "analyze_corpus"),
     "analyze_locksets": ("repro.analysis.concurrency", "analyze_locksets"),
     "build_inventory": ("repro.analysis.concurrency", "build_inventory"),
     "build_lock_order": ("repro.analysis.concurrency", "build_lock_order"),

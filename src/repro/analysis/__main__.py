@@ -20,13 +20,13 @@ fails; ``--json`` emits machine-readable output (``--lint`` excepted).
 ``--self-check`` holds the same rows to the same judgment
 (:meth:`~repro.analysis.corpus.Report.problems`).
 
-Rows with ``analyze`` share :func:`run_sweep`.  Three keep their own
-runner: ``--ownership`` (prints annotated SIL for one function, exit 0
-iff it draws no exclusivity error; also takes ``module:function``),
-``--concurrency`` (``runtime`` analyzes the real parallel engine,
-``corpus`` every seeded model, ``all`` both; ``--no-witness`` skips the
-live lock-witness runs) and ``--lint`` (``module:function`` only).
-DESIGN.md §8 has the recipe for adding a row.
+Every row but ``--lint`` (``module:function`` only) runs through
+:func:`run_sweep`.  ``--ownership`` and ``--derivatives`` also take
+``module:function``; an imported function has no expected verdict, and
+``--ownership`` then exits 0 iff it draws no exclusivity error.
+``--concurrency runtime`` analyzes the real parallel engine, ``corpus``
+every seeded model, ``all`` both.  DESIGN.md §8 has the recipe for
+adding a row.
 """
 
 from __future__ import annotations
@@ -36,12 +36,15 @@ import importlib
 import json
 import sys
 
-from repro.analysis.corpus import Corpus, Sweep, UnknownProgram, diag_json
+from repro.analysis.corpus import Corpus, Sweep, UnknownProgram
 
 
-def run_sweep(row: Sweep, spec: str, quiet: bool, as_json: bool) -> int:
+def run_sweep(
+    row: Sweep, spec: str, quiet: bool, as_json: bool, **options
+) -> int:
     """Analyze the program(s) ``spec`` selects from ``row.corpus`` and
-    hold each report to its expectation; exit status 0 iff all hold."""
+    hold each report to its expectation; exit status 0 iff all hold.
+    ``options`` go to the row's analyze hook (``--ownership``'s style)."""
     try:
         programs, analyze = row.corpus.lookup(spec), row.analyze
     except UnknownProgram:
@@ -54,19 +57,19 @@ def run_sweep(row: Sweep, spec: str, quiet: bool, as_json: bool) -> int:
     failures = 0
     payload = []
     for program in programs:
-        report = analyze(program)
-        ok = not report.problems()
-        failures += not ok
+        report = analyze(program, **options)
+        problems = report.problems()
+        failures += bool(problems)
         if as_json:
             payload.append(report.to_json())
-        elif not quiet or not ok:
+        elif not quiet or problems:
             print(report.render())
             extra = detail(report) if detail is not None else None
             if extra is not None:
                 print()
                 print(extra)
             if report.expect is not None:
-                outcome = "as predicted" if report.verdict_matches else "MISPREDICTED"
+                outcome = "; ".join(problems) or "as predicted"
                 print(f"{row.expect_label}{report.expect} ({outcome})")
             print()
     if as_json:
@@ -101,71 +104,6 @@ def _lowered(spec: str):
     return getattr(pyfunc, "__sil_function__", None) or lower_function(pyfunc)
 
 
-def _ownership_json(report) -> dict:
-    return {
-        "function": report.func.name,
-        "ok": report.ok,
-        "mutation_sites": report.copies.mutation_sites,
-        "must_copy": report.copies.must_copy,
-        "may_copy": report.copies.may_copy,
-        "in_place": report.copies.in_place,
-        "diagnostics": [diag_json(d) for d in report.diagnostics],
-    }
-
-
-def _run_ownership(args: argparse.Namespace) -> int:
-    from repro.analysis.ownership.annotate import (
-        analyze_ownership,
-        analyze_ownership_model,
-        tally,
-    )
-    from repro.analysis.ownership.models import CORPUS
-
-    if args.ownership != "all":
-        report = analyze_ownership(_lowered(args.ownership), style=args.style)
-        if args.json:
-            print(json.dumps(_ownership_json(report), indent=2))
-        else:
-            print(report.render())
-        return 0 if report.ok else 1
-
-    # The corpus sweep: every function judged against its expected verdict
-    # by the tally self-check sweep 4 uses (a caught violation passes).
-    from repro.analysis.selfcheck import SelfCheckReport
-
-    counters = SelfCheckReport()
-    models = CORPUS.lookup("all")
-    failures = 0
-    payload = []
-    for model in models:
-        report = analyze_ownership_model(model, args.style)
-        problems = tally(model, report, counters)
-        failures += bool(problems)
-        if args.json:
-            payload.append(
-                {
-                    **_ownership_json(report),
-                    "expect": model.expect,
-                    "ok": not problems,
-                    "problems": problems,
-                }
-            )
-        elif not args.quiet or problems:
-            print(report.render())
-            outcome = "; ".join(problems) or "as predicted"
-            print(f"expected verdict: {model.expect} ({outcome})")
-            print()
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"{len(models)} function(s) checked, {failures} failure(s); "
-            "exclusivity verdicts "
-            + ("all as expected" if failures == 0 else "NOT as expected")
-        )
-    return 0 if failures == 0 else 1
-
-
 def _run_lint(args: argparse.Namespace) -> int:
     from repro.core.lint import lint_function
 
@@ -182,87 +120,6 @@ def _run_lint(args: argparse.Namespace) -> int:
     return 0 if errors == 0 else 1
 
 
-def _run_concurrency(args: argparse.Namespace) -> int:
-    from repro.analysis.concurrency.report import (
-        CORPUS,
-        analyze_corpus,
-        analyze_corpus_model,
-        analyze_runtime,
-    )
-
-    spec, quiet, as_json = args.concurrency, args.quiet, args.json
-    witness = not args.no_witness
-    selected = CORPUS.lookup(spec)
-    failures = 0
-    payload: dict = {}
-
-    def show(text: str, ok: bool) -> None:
-        if as_json:
-            return
-        if not quiet or not ok:
-            print(text)
-            print()
-
-    def model_json(result) -> dict:
-        return {
-            "model": result.model.name,
-            "expect": result.model.expect,
-            "verdicts": sorted(result.verdicts),
-            "matches": result.matches,
-            "cross_check_ok": result.cross_check_ok,
-            "diagnostics": [diag_json(d) for d in result.diagnostics],
-        }
-
-    if spec in ("runtime", "all"):
-        report = analyze_runtime(run_witness=witness)
-        if not report.ok:
-            failures += 1
-        show(report.render(), report.ok)
-        if as_json:
-            payload["runtime"] = {
-                "ok": report.ok,
-                "verdicts": sorted(report.verdicts()),
-                "cross_check_ok": report.cross_check_ok,
-                "unregistered_fields": [
-                    f.qualname for f in report.inventory.unregistered
-                ],
-                "diagnostics": [diag_json(d) for d in report.diagnostics()],
-            }
-
-    if spec in ("corpus", "all"):
-        corpus = analyze_corpus(run_witness=witness)
-        failures += sum(not r.matches for r in corpus.results)
-        show(corpus.render(), corpus.ok)
-        if as_json:
-            payload["corpus"] = [model_json(r) for r in corpus.results]
-    elif spec != "runtime":
-        result = analyze_corpus_model(selected[0])
-        if not result.matches:
-            failures += 1
-        if as_json:
-            payload["corpus"] = [model_json(result)]
-        elif not quiet or not result.matches:
-            print(result.render())
-            for diag in result.diagnostics:
-                print(f"    {diag.severity}: {diag.message} "
-                      f"[{diag.location.filename}:{diag.location.line}]")
-
-    if as_json:
-        payload["failures"] = failures
-        payload["ok"] = failures == 0
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"concurrency analysis: {failures} failure(s); "
-            + (
-                "locksets, lock order, and merges all verified"
-                if failures == 0
-                else "hazards or cross-check divergences found"
-            )
-        )
-    return 0 if failures == 0 else 1
-
-
 #: The dispatch table: ``main`` adds one flag per row, ``--list`` prints
 #: it, and ``--self-check`` walks the rows whose module has ``analyze``.
 SUBSYSTEMS: tuple[Sweep, ...] = (
@@ -273,7 +130,12 @@ SUBSYSTEMS: tuple[Sweep, ...] = (
         "copy-materialization labels, pullback costs",
         sweep=4,
         module="repro.analysis.ownership.models",
-        run=_run_ownership,
+        checked="ownership_functions_checked",
+        caught="exclusivity_violations_caught",
+        counted="function(s) checked",
+        holds="exclusivity verdicts all as expected",
+        fails="exclusivity verdicts NOT as expected",
+        expect_label="expected verdict: ",
     ),
     Sweep(
         flag="--trace",
@@ -318,7 +180,10 @@ SUBSYSTEMS: tuple[Sweep, ...] = (
         "lock-order graph with dynamic witness, merge determinism",
         sweep=7,
         module="repro.analysis.concurrency.report",
-        run=_run_concurrency,
+        caught="concurrency_hazards_caught",
+        counted="target(s) analyzed",
+        holds="locksets, lock order, and merges all verified",
+        fails="hazards or cross-check divergences found",
     ),
     Sweep(
         flag="--memory",
@@ -389,11 +254,6 @@ def main(argv: list[str] | None = None) -> int:
         help="emit machine-readable JSON (every subcommand except --lint)",
     )
     parser.add_argument(
-        "--no-witness",
-        action="store_true",
-        help="skip the dynamic lock-witness runs (static analysis only)",
-    )
-    parser.add_argument(
         "--style",
         choices=("mvs", "functional"),
         default="mvs",
@@ -416,7 +276,8 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 if row.run is not None:
                     return row.run(args)
-                return run_sweep(row, spec, args.quiet, args.json)
+                options = {"style": args.style} if row.flag == "--ownership" else {}
+                return run_sweep(row, spec, args.quiet, args.json, **options)
             except UnknownProgram as exc:
                 raise SystemExit(f"error: {exc}") from None
 

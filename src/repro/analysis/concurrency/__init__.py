@@ -16,7 +16,8 @@ against dynamic evidence from the instrumented locks
   must be replica-ordered, never completion-ordered.
 
 :mod:`.models` is the seeded hazard corpus (ground truth);
-:mod:`.report` assembles the combined verdicts for the CLI and CI gate.
+:mod:`.report` assembles the combined verdicts and is the
+``--concurrency`` row of the shared sweep.
 """
 
 from .determinism import (
@@ -37,8 +38,6 @@ from .lockset import Access, LocksetReport, StaticEdge, analyze_locksets
 from .models import CORPUS_MODELS, CORPUS_TARGET, ConcurrencyModel
 from .report import (
     ConcurrencyReport,
-    CorpusReport,
-    analyze_corpus,
     analyze_corpus_model,
     analyze_runtime,
     analyze_target,
@@ -55,7 +54,6 @@ __all__ = [
     "AnalysisTarget",
     "ConcurrencyModel",
     "ConcurrencyReport",
-    "CorpusReport",
     "CORPUS_MODELS",
     "CORPUS_TARGET",
     "GuardRegistry",
@@ -68,7 +66,6 @@ __all__ = [
     "SharedField",
     "StaticEdge",
     "WitnessReport",
-    "analyze_corpus",
     "analyze_corpus_model",
     "analyze_runtime",
     "analyze_target",

@@ -1,25 +1,27 @@
 """Combined concurrency-safety report: inventory, locksets, order, merges.
 
-``analyze_runtime`` runs the full pipeline over the real parallel
-engine: shared-state inventory, lockset race analysis, lock-order graph
-(optionally cross-checked against a live dynamic witness run), and
-merge-determinism verification.  The runtime must come back **clean**:
-zero unregistered fields, zero unguarded accesses, an acyclic lock-order
-graph, no order-sensitive merges, and every static-vs-dynamic
-cross-check agreeing.
+The ``--concurrency`` corpus holds the real parallel engine (``runtime``)
+and the seeded hazard models (:mod:`.models`); :func:`analyze` turns one
+entry into a :class:`ConcurrencyReport`, which the shared sweep judges
+like every other row (:meth:`~repro.analysis.corpus.Report.problems`):
 
-``analyze_corpus`` runs the same analyzers over the seeded hazard corpus
-(:mod:`.models`) and checks each model produces *exactly* its expected
-verdict — hazards caught with located diagnostics, clean models silent.
-That closes the loop on both false negatives and false positives.
+* ``runtime`` runs the full pipeline over the engine — shared-state
+  inventory, lockset race analysis, the lock-order graph cross-checked
+  against a live witness run, and merge-determinism verification — and
+  must come back **clean**: zero unregistered fields, zero unguarded
+  accesses, an acyclic lock-order graph, no order-sensitive merges;
+* a model is its slice of one lockset analysis of the corpus module,
+  plus its own merges and, for the two lock-pair models, a live witness
+  run; each must produce its expected verdict, hazards with located
+  diagnostics and clean models silent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.analysis.corpus import Corpus
+from repro.analysis.corpus import Corpus, CorpusProgram, Report
 from repro.errors import Diagnostic
 
 from .determinism import DeterminismReport, verify_merges, RUNTIME_MERGES
@@ -32,38 +34,66 @@ from .inventory import (
 from .lockorder import LockOrderReport, build_lock_order
 from .lockset import Access, LocksetReport, StaticEdge, analyze_locksets
 from .models import CORPUS_MODELS, CORPUS_TARGET, ConcurrencyModel
+from .witness import run_consistent_pair, run_inverted_pair, run_runtime_witness
 
+#: The live engine, held to the clean verdict.
+RUNTIME = CorpusProgram(
+    "runtime", "the real parallel engine, with a live witness run", "clean"
+)
 
-#: What ``--concurrency`` accepts: the two whole-target runs, then every
-#: seeded model by name.  (Built here rather than next to
-#: ``CORPUS_MODELS`` because :mod:`.models` is itself an analysis target
-#: and every module-level mutable there must be in its guard registry.)
+#: What ``--concurrency`` accepts: ``runtime``, every seeded model by
+#: name, and ``corpus`` for all the models.  (Built here rather than next
+#: to ``CORPUS_MODELS`` because :mod:`.models` is itself an analysis
+#: target and every module-level mutable there must be in its guard
+#: registry.)
 CORPUS = Corpus(
     "concurrency target",
+    RUNTIME,
     *CORPUS_MODELS,
-    groups={"runtime": (), "corpus": CORPUS_MODELS},
+    groups={"corpus": CORPUS_MODELS},
 )
+
+#: The seeded models whose lock pairs run on real threads.
+_WITNESSES = {
+    "clean_consistent_pair": run_consistent_pair,
+    "deadlock_inverted_pair": run_inverted_pair,
+}
 
 
 @dataclass
-class ConcurrencyReport:
-    """Everything the concurrency analysis concluded about one target."""
+class ConcurrencyReport(Report):
+    """Everything the concurrency analysis concluded about one target:
+    a whole :class:`AnalysisTarget` (``inventory`` set) or one seeded
+    model's slice of the corpus target."""
 
-    target: str
-    inventory: InventoryReport
+    json_label = "target"
+    #: A model may trip more than its seeded hazard class.
+    extra_verdicts_ok = True
+
+    name: str
     lockset: LocksetReport
     lockorder: LockOrderReport
     determinism: DeterminismReport
+    inventory: Optional[InventoryReport] = None
     dynamic_edges: FrozenSet[Tuple[str, str]] = frozenset()
+    expect: Optional[str] = None
 
     @property
     def cross_check_ok(self) -> bool:
-        return self.lockorder.cross_check_ok and self.determinism.cross_check_ok
+        """The lock-order graph covers the witness, every merge probe
+        agrees with its static verdict, and every merge got the verdict
+        its registry expects."""
+        return (
+            self.lockorder.cross_check_ok
+            and self.determinism.cross_check_ok
+            and all(f.verdict == f.expect for f in self.determinism.findings)
+        )
 
-    def verdicts(self) -> Tuple[str, ...]:
+    def verdicts(self) -> set[str]:
         found = set()
-        if self.inventory.unregistered or any(
-            d.is_error for d in self.inventory.diagnostics
+        if self.inventory is not None and (
+            self.inventory.unregistered
+            or any(d.is_error for d in self.inventory.diagnostics)
         ):
             found.add("unregistered-state")
         if self.lockset.violations or any(
@@ -74,98 +104,68 @@ class ConcurrencyReport:
             found.add("deadlock")
         if self.determinism.order_sensitive:
             found.add("order-sensitive-merge")
-        if not found:
-            found.add("clean")
-        return tuple(sorted(found))
+        return found or {"clean"}
 
     @property
-    def ok(self) -> bool:
-        return self.verdicts() == ("clean",) and self.cross_check_ok
-
     def diagnostics(self) -> List[Diagnostic]:
         return (
-            list(self.inventory.diagnostics)
+            (list(self.inventory.diagnostics) if self.inventory else [])
             + list(self.lockset.diagnostics)
             + list(self.lockorder.diagnostics)
             + list(self.determinism.diagnostics)
         )
 
     def render(self) -> str:
-        sections = [
-            f"== concurrency analysis: {self.target} ==",
-            self.inventory.render(),
+        sections = [f"== concurrency analysis: {self.name} =="]
+        if self.inventory is not None:
+            sections.append(self.inventory.render())
+        sections += [
             self.lockset.render(),
             self.lockorder.render(),
             self.determinism.render(),
-            f"verdicts: {', '.join(self.verdicts())} "
+            f"verdicts: {', '.join(sorted(self.verdicts()))} "
             f"(cross_check_ok={self.cross_check_ok})",
         ]
-        errors = [d for d in self.diagnostics() if d.is_error]
-        for diag in errors:
-            sections.append(f"  error: {diag.message} "
-                            f"[{diag.location.filename}:{diag.location.line}]")
+        for diag in self.diagnostics:
+            if diag.is_error:
+                sections.append(f"  error: {diag.message} [{diag.location}]")
         return "\n".join(sections)
-
-
-def analyze_runtime(run_witness: bool = True) -> ConcurrencyReport:
-    """Full pipeline over the real parallel engine."""
-    dynamic: FrozenSet[Tuple[str, str]] = frozenset()
-    if run_witness:
-        from .witness import run_runtime_witness
-
-        dynamic = run_runtime_witness().edges
-    return analyze_target(RUNTIME_TARGET, RUNTIME_MERGES, dynamic)
 
 
 def analyze_target(
     target: AnalysisTarget,
     merges: Sequence = (),
     dynamic_edges: FrozenSet[Tuple[str, str]] = frozenset(),
+    expect: Optional[str] = None,
 ) -> ConcurrencyReport:
+    """Inventory, locksets, lock order and merges of one target."""
     inventory = build_inventory(target)
     lockset = analyze_locksets(target, inventory)
-    lockorder = build_lock_order(lockset, dynamic_edges)
-    determinism = verify_merges(merges)
     return ConcurrencyReport(
-        target=target.name,
+        name=target.name,
         inventory=inventory,
         lockset=lockset,
-        lockorder=lockorder,
-        determinism=determinism,
+        lockorder=build_lock_order(lockset, dynamic_edges),
+        determinism=verify_merges(merges),
         dynamic_edges=dynamic_edges,
+        expect=expect,
     )
+
+
+def analyze_runtime() -> ConcurrencyReport:
+    """Full pipeline over the real parallel engine, its lock-order graph
+    cross-checked against the edges a live witness run records."""
+    dynamic = run_runtime_witness().edges
+    return analyze_target(RUNTIME_TARGET, RUNTIME_MERGES, dynamic, RUNTIME.expect)
 
 
 # ---------------------------------------------------------------------------
 # Corpus: per-model slices of the module-wide analysis
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class ModelResult:
-    """One corpus model's verdicts versus its ground truth."""
-
-    model: ConcurrencyModel
-    verdicts: Tuple[str, ...]
-    diagnostics: List[Diagnostic] = field(default_factory=list)
-    cross_check_ok: bool = True
-    dynamic_edges: FrozenSet[Tuple[str, str]] = frozenset()
-
-    @property
-    def matches(self) -> bool:
-        return (
-            self.model.expect in self.verdicts
-            and (self.model.expect != "clean" or self.verdicts == ("clean",))
-            and self.cross_check_ok
-        )
-
-    def render(self) -> str:
-        mark = "ok" if self.matches else "MISMATCH"
-        return (
-            f"  [{mark:>8}] {self.model.name}: expected {self.model.expect}, "
-            f"got {', '.join(self.verdicts)} "
-            f"(cross_check_ok={self.cross_check_ok})"
-        )
+#: The seeded models share one module, analyzed once when this module
+#: loads; each model's verdict is a slice of it.
+CORPUS_LOCKSETS = analyze_locksets(CORPUS_TARGET)
 
 
 def _belongs(via: str, functions: Tuple[str, ...]) -> bool:
@@ -198,86 +198,48 @@ def _model_slice(
     return accesses, edges, diagnostics
 
 
-def analyze_corpus_model(
-    model: ConcurrencyModel,
-    full: Optional[LocksetReport] = None,
-    dynamic_edges: FrozenSet[Tuple[str, str]] = frozenset(),
-) -> ModelResult:
-    """Slice the corpus-wide lockset analysis down to one model's verdict."""
-    if full is None:
-        full = analyze_locksets(CORPUS_TARGET)
-    accesses, edges, diagnostics = _model_slice(full, model)
-
-    sliced = LocksetReport(target=model.name)
-    sliced.accesses = accesses
-    sliced.static_edges = edges
-    sliced.diagnostics = diagnostics
-    lockorder = build_lock_order(sliced, dynamic_edges)
-    determinism = verify_merges(model.merges)
-
-    verdicts = set()
-    if any(not a.ok for a in accesses):
-        verdicts.add("race")
-    if lockorder.cycles:
-        verdicts.add("deadlock")
-    if determinism.order_sensitive:
-        verdicts.add("order-sensitive-merge")
-    if not verdicts:
-        verdicts.add("clean")
-
-    cross_ok = lockorder.cross_check_ok and determinism.cross_check_ok
-    # A merge misclassified against its registry expectation is a
-    # cross-check failure too: the static model and ground truth disagree.
-    for finding in determinism.findings:
-        if finding.verdict != finding.expect:
-            cross_ok = False
-
-    return ModelResult(
-        model=model,
-        verdicts=tuple(sorted(verdicts)),
-        diagnostics=diagnostics + lockorder.diagnostics + determinism.diagnostics,
-        cross_check_ok=cross_ok,
-        dynamic_edges=frozenset(dynamic_edges),
+def analyze_corpus_model(model: ConcurrencyModel) -> ConcurrencyReport:
+    """One seeded model: its slice of :data:`CORPUS_LOCKSETS`, its merges,
+    and the edges a live run records where it has a witness."""
+    witness = _WITNESSES.get(model.name)
+    dynamic = witness().edges if witness is not None else frozenset()
+    accesses, edges, diagnostics = _model_slice(CORPUS_LOCKSETS, model)
+    sliced = LocksetReport(
+        target=model.name,
+        accesses=accesses,
+        diagnostics=diagnostics,
+        static_edges=edges,
+        functions_analyzed=len(model.functions),
+    )
+    return ConcurrencyReport(
+        name=model.name,
+        lockset=sliced,
+        lockorder=build_lock_order(sliced, dynamic),
+        determinism=verify_merges(model.merges),
+        dynamic_edges=dynamic,
+        expect=model.expect,
     )
 
 
-@dataclass
-class CorpusReport:
-    results: List[ModelResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.matches for r in self.results)
-
-    def render(self) -> str:
-        lines = [
-            f"== concurrency corpus: {len(self.results)} model(s), "
-            f"{sum(r.matches for r in self.results)} matching =="
-        ]
-        lines.extend(r.render() for r in self.results)
-        for result in self.results:
-            for diag in result.diagnostics:
-                if diag.is_error:
-                    lines.append(
-                        f"    {result.model.name}: {diag.message} "
-                        f"[{diag.location.filename}:{diag.location.line}]"
-                    )
-        return "\n".join(lines)
+# -- hooks the shared sweep loops read (see repro.analysis.corpus.Sweep) ----
 
 
-def analyze_corpus(run_witness: bool = True) -> CorpusReport:
-    """Analyze every corpus model; dynamic witness for the runnable pairs."""
-    full = analyze_locksets(CORPUS_TARGET)
-    report = CorpusReport()
-    for model in CORPUS_MODELS:
-        dynamic: FrozenSet[Tuple[str, str]] = frozenset()
-        if run_witness and model.name == "clean_consistent_pair":
-            from .witness import run_consistent_pair
+def analyze(program) -> ConcurrencyReport:
+    if program is RUNTIME:
+        return analyze_runtime()
+    return analyze_corpus_model(program)
 
-            dynamic = run_consistent_pair().edges
-        elif run_witness and model.name == "deadlock_inverted_pair":
-            from .witness import run_inverted_pair
 
-            dynamic = run_inverted_pair().edges
-        report.results.append(analyze_corpus_model(model, full, dynamic))
-    return report
+def tally(report: ConcurrencyReport, counters) -> None:
+    counters.lock_edges_cross_checked += len(report.dynamic_edges)
+    if report.expect == "clean":
+        counters.merges_verified += sum(
+            1 for f in report.determinism.findings if f.ok
+        )
+    if report.inventory is None:
+        counters.concurrency_models_checked += 1
+        return
+    counters.shared_fields_inventoried += len(report.inventory.fields)
+    counters.guarded_accesses_proven += sum(
+        1 for a in report.lockset.accesses if a.required is not None and a.ok
+    )

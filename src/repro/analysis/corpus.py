@@ -72,8 +72,7 @@ class Corpus(Sequence):
     Entries are :class:`CorpusProgram` instances (the table itself reads
     only ``name`` and ``expect``).  ``kind`` words the unknown-name error
     ("trace program", ...).  ``groups`` are extra names resolving to
-    several (or no) entries — the concurrency targets ``runtime`` and
-    ``corpus``.
+    several entries — the concurrency target ``corpus``.
     """
 
     def __init__(
@@ -261,8 +260,8 @@ class Sweep:
     adds a passing report's evidence to the self-check counters; it may
     provide ``analyze_function(fn) -> Report`` for ``module:function``
     arguments and ``detail(report)`` for extra text under a single
-    selected program.  A row with ``run`` keeps its own CLI runner
-    (ownership, concurrency, ``--lint``).
+    selected program.  Only ``--lint``, which has no corpus, keeps its
+    own CLI runner (``run``).
     """
 
     flag: str

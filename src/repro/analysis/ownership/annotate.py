@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.analysis.corpus import Report
 from repro.analysis.ownership.aliasing import AliasInfo, analyze_aliases
 from repro.analysis.ownership.borrow import BorrowReport, check_exclusivity
 from repro.analysis.ownership.copies import CopyInfo, infer_copies
@@ -30,14 +31,34 @@ from repro.sil.printer import Annotations, print_function
 
 
 @dataclass
-class OwnershipReport:
-    """Everything the ownership analyses know about one function."""
+class OwnershipReport(Report):
+    """Everything the ownership analyses know about one function.
+
+    Its verdicts are the severities the borrow checker draws: ``error``
+    for a certain violation, ``warning`` for one that needs the dynamic
+    check, ``clean`` for none.  There is no dynamic cross-check here
+    (``tests/analysis/test_ownership.py`` runs the programs instead).
+    """
+
+    json_label = "function"
+    #: A certain violation may come with may-conflicts beside it.
+    extra_verdicts_ok = True
+    cross_check_ok = True
 
     func: ir.Function
     aliases: AliasInfo
     borrow: BorrowReport
     copies: CopyInfo
     cost: PullbackCostReport
+    #: The corpus verdict this function must get (``None``: not a corpus entry).
+    expect: Optional[str] = None
+    #: Whether every mutation site must be proven in-place (the optimizer
+    #: update loops: the static half of Section 4.3's zero-copy claim).
+    copy_free: bool = False
+
+    @property
+    def name(self) -> str:
+        return self.func.name
 
     @property
     def diagnostics(self) -> list[Diagnostic]:
@@ -46,6 +67,45 @@ class OwnershipReport:
     @property
     def ok(self) -> bool:
         return self.borrow.ok
+
+    def verdicts(self) -> set[str]:
+        return {d.severity for d in self.diagnostics} or {"clean"}
+
+    def located_errors(self) -> list[Diagnostic]:
+        """A may-conflict is a warning yet it is the caught hazard all the
+        same: a located diagnostic of the expected severity counts."""
+        return [
+            d
+            for d in self.diagnostics
+            if d.severity == self.expect and d.location.line > 0
+        ]
+
+    def problems(self) -> list[str]:
+        """:meth:`Report.problems`, plus what only this analysis claims: an
+        update loop is copy-free, and a function from outside the corpus
+        keeps the law of exclusivity."""
+        found = super().problems()
+        copies = self.copies
+        if self.copy_free and (
+            copies.must_copy or copies.may_copy or not copies.in_place
+        ):
+            found.append("update loop not proven copy-free")
+        if self.expect is None:
+            found.extend(
+                "exclusivity violation: " + d.message
+                for d in self.diagnostics
+                if d.is_error
+            )
+        return found
+
+    def json_details(self) -> dict:
+        return {
+            "mutation_sites": self.copies.mutation_sites,
+            "must_copy": self.copies.must_copy,
+            "may_copy": self.copies.may_copy,
+            "in_place": self.copies.in_place,
+            **super().json_details(),
+        }
 
     def annotations(self) -> Annotations:
         notes: Annotations = {}
@@ -85,49 +145,6 @@ def analyze_ownership(
         copies=infer_copies(func, aliases),
         cost=analyze_pullback_cost(func, wrt, style),
     )
-
-
-def analyze_ownership_model(model, style: str = "mvs") -> OwnershipReport:
-    """Lower and analyze one entry of :data:`.models.CORPUS`."""
-    from repro.sil.frontend import lower_function
-
-    return analyze_ownership(lower_function(model.fn), style=style)
-
-
-def tally(model, report: OwnershipReport, counters) -> list[str]:
-    """Hold one corpus function's report to its expected verdict, adding
-    its evidence to the self-check ``counters``; returns what failed.
-
-    Clean functions must draw no diagnostic at all, and the optimizer
-    update loops must additionally be *all in-place* — the statically
-    proven half of the zero-copy parameter-update claim (Section 4.3).
-    Seeded violations must draw their expected severity (error = certain
-    trap, warning = dynamic check required).
-    """
-    # Imported here: repro.core.synthesis loads this package at plan time
-    # and has no use for the corpus.
-    from repro.analysis.ownership.models import OPTIMIZER_MODELS
-
-    counters.ownership_functions_checked += 1
-    if model.expect == "clean":
-        counters.mutation_sites_labeled += report.copies.mutation_sites
-        problems = []
-        if report.diagnostics:
-            problems.append("false positive: " + report.diagnostics[0].message)
-        copies = report.copies
-        if model.name in OPTIMIZER_MODELS and (
-            copies.must_copy or copies.may_copy or not copies.in_place
-        ):
-            problems.append("update loop not proven copy-free")
-        return problems
-    severities = {d.severity for d in report.diagnostics}
-    if model.expect in severities:
-        counters.exclusivity_violations_caught += 1
-        return []
-    return [
-        f"expected a(n) {model.expect} verdict, "
-        f"got {sorted(severities) or ['none']}"
-    ]
 
 
 def check_ownership(func: ir.Function) -> list[Diagnostic]:

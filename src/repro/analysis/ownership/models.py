@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis.corpus import Corpus, CorpusProgram
+from repro.analysis.ownership.annotate import OwnershipReport, analyze_ownership
+from repro.sil.frontend import lower_function
 from repro.valsem.inout import borrow_attr, borrow_item
 
 # ---------------------------------------------------------------------------
@@ -187,8 +189,9 @@ VIOLATION_SUITE = [
 @dataclass(frozen=True)
 class OwnershipModel(CorpusProgram):
     """A lowerable function expecting ``"clean"`` (no diagnostic at all),
-    ``"error"`` or ``"warning"``; the two copy exemplars carry no
-    expectation and are addressable by name only."""
+    ``"error"`` (a certain trap) or ``"warning"`` (the dynamic check is
+    required); the two copy exemplars carry no expectation and are
+    addressable by name only."""
 
     fn: Callable
 
@@ -206,3 +209,26 @@ CORPUS = Corpus(
         for fn, verdict in VIOLATION_SUITE
     ),
 )
+
+
+# -- hooks the shared sweep loops read (see repro.analysis.corpus.Sweep) ----
+
+
+def analyze(model: OwnershipModel, style: str = "mvs") -> OwnershipReport:
+    """Lower and analyze one corpus entry; the optimizer update loops must
+    also be all in-place."""
+    report = analyze_ownership(lower_function(model.fn), style=style)
+    report.expect = model.expect
+    report.copy_free = model.name in OPTIMIZER_MODELS
+    return report
+
+
+def analyze_function(fn: Callable, style: str = "mvs") -> OwnershipReport:
+    """Analyze an imported function (its attached SIL when it has one)."""
+    func = getattr(fn, "__sil_function__", None) or lower_function(fn)
+    return analyze_ownership(func, style=style)
+
+
+def tally(report: OwnershipReport, counters) -> None:
+    if report.expect == "clean":
+        counters.mutation_sites_labeled += report.copies.mutation_sites

@@ -90,8 +90,11 @@ Three sweeps, mirroring the three layers the subsystem spans:
     rejected with a *located* diagnostic naming the divergent value,
     while its untransformed baseline still certifies.
 
-``python -m repro.analysis --self-check`` runs all ten and exits 0 iff
-everything holds.
+The corpora of sweeps 4–10 are the rows of
+``repro.analysis.__main__.SUBSYSTEMS``, walked by :func:`_check_sweep`
+with the judgment ``--X all`` applies; the primitive wrappers of sweep 4
+are checked here.  ``python -m repro.analysis --self-check`` runs all ten
+and exits 0 iff everything holds.
 """
 
 from __future__ import annotations
@@ -312,15 +315,11 @@ def _check_pipeline(report: SelfCheckReport) -> None:
 
 
 def _check_ownership(report: SelfCheckReport) -> None:
-    from repro.analysis.ownership.annotate import (
-        analyze_ownership,
-        analyze_ownership_model,
-        tally,
-    )
-    from repro.analysis.ownership.models import CORPUS
+    from repro.analysis.ownership.annotate import analyze_ownership
 
     # Every primitive wrapper must be ownership-clean (no formal accesses,
     # hence no possible violations — the zero-false-positive baseline).
+    # The corpus is the ``--ownership`` row's sweep.
     for name, prim in sorted(PRIMITIVES.items()):
         try:
             ownership = analyze_ownership(_wrapper_function(prim))
@@ -332,16 +331,6 @@ def _check_ownership(report: SelfCheckReport) -> None:
             report.failures.append(
                 f"ownership over primitive {name!r}: spurious violation"
             )
-
-    # The corpus, held to the verdicts ``--ownership all`` holds it to.
-    for model in CORPUS.lookup("all"):
-        try:
-            problems = tally(model, analyze_ownership_model(model), report)
-        except ReproError as exc:
-            problems = [str(exc)]
-        report.failures.extend(
-            f"ownership over {model.name!r}: {problem}" for problem in problems
-        )
 
 
 def _check_trace_shapes(report: SelfCheckReport) -> None:
@@ -427,77 +416,6 @@ def _check_derivative_rules(report: SelfCheckReport) -> None:
             )
 
 
-def _check_concurrency(report: SelfCheckReport) -> None:
-    from repro.analysis.concurrency.report import analyze_corpus, analyze_runtime
-
-    # Runtime sweep: the real parallel engine must be provably clean —
-    # every shared mutable accounted for, every guarded access holding
-    # its lock, the lock-order graph acyclic, every dynamically
-    # witnessed edge statically predicted, every merge deterministic.
-    try:
-        runtime = analyze_runtime(run_witness=True)
-    except ReproError as exc:  # pragma: no cover
-        report.failures.append(f"concurrency runtime analysis: {exc}")
-        runtime = None
-    if runtime is not None:
-        report.shared_fields_inventoried += len(runtime.inventory.fields)
-        report.guarded_accesses_proven += sum(
-            1 for a in runtime.lockset.accesses if a.required is not None and a.ok
-        )
-        report.lock_edges_cross_checked += len(runtime.dynamic_edges)
-        report.merges_verified += sum(
-            1 for f in runtime.determinism.findings if f.ok
-        )
-        if runtime.inventory.unregistered:
-            report.failures.append(
-                "concurrency runtime: unregistered shared state: "
-                + ", ".join(f.qualname for f in runtime.inventory.unregistered)
-            )
-        if runtime.verdicts() != ("clean",):
-            report.failures.append(
-                "concurrency runtime: expected a clean engine, got "
-                f"{', '.join(runtime.verdicts())}: "
-                + "; ".join(
-                    d.message for d in runtime.diagnostics() if d.is_error
-                )
-            )
-        if not runtime.cross_check_ok:
-            report.failures.append(
-                "concurrency runtime: static model diverges from the "
-                "dynamic witness or numeric probes"
-            )
-
-    # Corpus sweep: exact verdicts — seeded races, the lock-order cycle,
-    # and the completion-order merge all caught with located
-    # diagnostics; clean models silent (zero false positives).
-    corpus = analyze_corpus(run_witness=True)
-    for result in corpus.results:
-        report.concurrency_models_checked += 1
-        report.lock_edges_cross_checked += len(result.dynamic_edges)
-        if not result.matches:
-            report.failures.append(
-                f"concurrency model {result.model.name!r}: expected "
-                f"{result.model.expect!r}, got {', '.join(result.verdicts)}"
-                + ("" if result.cross_check_ok else " (cross-check diverged)")
-            )
-            continue
-        if result.model.expect != "clean":
-            located = [
-                d for d in result.diagnostics
-                if d.is_error and d.location.line > 0
-            ]
-            if located:
-                report.concurrency_hazards_caught += 1
-            else:
-                report.failures.append(
-                    f"concurrency model {result.model.name!r}: hazard "
-                    "caught but no diagnostic carries a source location"
-                )
-        else:
-            if result.model.merges:
-                report.merges_verified += len(result.model.merges)
-
-
 def _bump(report: SelfCheckReport, counter: str) -> None:
     setattr(report, counter, getattr(report, counter) + 1)
 
@@ -508,7 +426,7 @@ def _check_sweep(row, report: SelfCheckReport) -> None:
     — the judgment ``--X all`` applies.  Only a passing report's evidence
     is tallied."""
     kind = row.corpus.kind
-    for program in row.corpus:
+    for program in row.corpus.lookup("all"):
         try:
             result = row.analyze(program)
         except ReproError as exc:
@@ -540,7 +458,6 @@ def self_check(verbose: bool = False) -> SelfCheckReport:
     _check_ownership(report)
     _check_trace_shapes(report)
     _check_derivative_rules(report)
-    _check_concurrency(report)
     for row in SUBSYSTEMS:
         if row.analyze is not None:
             _check_sweep(row, report)

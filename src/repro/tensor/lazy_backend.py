@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import weakref
 from typing import Optional, Sequence
 
@@ -264,18 +265,22 @@ class LazyRuntime:
         # against its digest — the dynamic oracle the static memory planner
         # cross-checks its certificates against.
         # A compiled fragment's parameters are its sources in walk order.
+        # Lowering and the op-by-op fallback read the same walk, so the
+        # key's numbering and the module's parameter order are one list.
         key, order = fragment_key(targets)
         args = [node.data for node in order if node.is_source]
         with memory.attribute_trace(lambda: key_digest(key)):
-            self._execute_fragment(targets, key, args)
+            self._execute_fragment(targets, order, key, args)
 
-    def _execute_fragment(self, targets: list[TraceNode], key: str, args: list) -> None:
+    def _execute_fragment(
+        self, targets: list[TraceNode], order: list, key: str, args: list
+    ) -> None:
         if self.async_compiler is not None:
-            self._execute_async(targets, key, args)
+            self._execute_async(targets, order, key, args)
             return
         compiles_before = COMPILER_STATS.compiles
         executable = compile_keyed(
-            key, lambda: _lower_to_hlo(targets)[0], codegen=self.codegen
+            key, lambda: _lower_to_hlo(targets, order)[0], codegen=self.codegen
         )
         if COMPILER_STATS.compiles > compiles_before:
             # A genuinely new trace: pay JIT compilation.
@@ -288,7 +293,9 @@ class LazyRuntime:
         results = executable.run(args, device=self.sim, host_time=self.host_time)
         self._consume(targets, results)
 
-    def _execute_async(self, targets: list[TraceNode], key: str, args: list) -> None:
+    def _execute_async(
+        self, targets: list[TraceNode], order: list, key: str, args: list
+    ) -> None:
         """Materialize without ever stalling the host on the JIT.
 
         The canonical trace key addresses the async cache.  A hit runs the
@@ -310,14 +317,14 @@ class LazyRuntime:
             return
         # Miss: lower now (the execution below consumes the DAG), compile
         # in the background, run this step op-by-op.
-        module, _ = _lower_to_hlo(targets)
+        module, _ = _lower_to_hlo(targets, order)
         self.async_compiler.submit(
             async_key,
             lambda: compile_keyed(key, lambda: module, codegen=self.codegen),
         )
         self.async_compiler.note_fallback()
         self.async_fallback_steps += 1
-        results = self._eval_fragment_eager(targets)
+        results = self._eval_fragment_eager(targets, order)
         self._consume(targets, results)
 
     def _consume(self, targets: list[TraceNode], results) -> None:
@@ -340,13 +347,14 @@ class LazyRuntime:
             node.op = "source"
         self.ops_since_cut = 0
 
-    def _eval_fragment_eager(self, targets: list[TraceNode]):
-        """Op-by-op fallback: evaluate the DAG with the same NumPy kernels
-        the compiled path lowers to (results are bit-identical), charging
+    def _eval_fragment_eager(self, targets: list[TraceNode], order: list):
+        """Op-by-op fallback: evaluate the DAG (``order`` is its
+        :func:`fragment_order` walk) with the same NumPy kernels the
+        compiled path lowers to (results are bit-identical), charging
         eager per-op dispatch on the host clock and one unfused kernel per
         op on the device clock."""
         values: dict[int, np.ndarray] = {}
-        for node in fragment_order(targets):
+        for node in order:
             if node.is_source:
                 values[node.id] = node.data
                 continue
@@ -360,8 +368,8 @@ class LazyRuntime:
             )
             self.host_time += self.engine.fallback_op_overhead
             in_shapes = [i.shape for i in node.inputs]
-            out_elems = int(np.prod(node.shape)) if node.shape else 1
-            in_elems = sum(int(np.prod(s)) if s else 1 for s in in_shapes)
+            out_elems = math.prod(node.shape)
+            in_elems = sum(math.prod(s) for s in in_shapes)
             flops = row.flops_per_element
             if callable(flops):
                 flops = flops(in_shapes)
@@ -457,12 +465,14 @@ def key_digest(key: str) -> str:
     return hashlib.sha256(key.encode()).hexdigest()[:12]
 
 
-def _lower_to_hlo(targets: list[TraceNode]):
-    """Lower the fragment to one HLO module; sources become its parameters."""
+def _lower_to_hlo(targets: list[TraceNode], order: Optional[list] = None):
+    """Lower the fragment to one HLO module; sources become its parameters.
+    ``order`` is the fragment's :func:`fragment_order` walk when the caller
+    already holds it."""
     builder = HloBuilder("trace")
     mapping: dict[int, object] = {}
     param_nodes: list[TraceNode] = []
-    for node in fragment_order(targets):
+    for node in fragment_order(targets) if order is None else order:
         if node.is_source:
             param_nodes.append(node)
             mapping[node.id] = builder.parameter(Shape(tuple(node.shape)))

@@ -306,9 +306,19 @@ def test_cli_ownership_clean_function(capsys):
 def test_cli_ownership_violation_exits_nonzero(capsys):
     from repro.analysis.__main__ import main
 
-    assert main(["--ownership", "double_borrow_same_item"]) == 1
+    # An imported function carries no expected verdict: it must keep the
+    # law of exclusivity.
+    spec = "repro.analysis.ownership.models:double_borrow_same_item"
+    assert main(["--ownership", spec]) == 1
     out = capsys.readouterr().out
     assert "BorrowError" in out
+    assert out.endswith("1 function(s) checked, 1 failure(s); "
+                        "exclusivity verdicts NOT as expected\n")
+    # The bundled entry expects that error: caught, so the sweep passes.
+    assert main(["--ownership", "double_borrow_same_item"]) == 0
+    out = capsys.readouterr().out
+    assert "BorrowError" in out
+    assert "expected verdict: error (as predicted)" in out
 
 
 def test_cli_ownership_style_flag(capsys):

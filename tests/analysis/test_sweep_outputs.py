@@ -12,35 +12,43 @@ The digests were retaken with this normalizer at the commit before the
 lazy runtime keyed its compile cache on trace text, and read the same
 after it; the ``--self-check`` digest was retaken once more when the
 primitive sweep began importing ``repro.nn`` (two more primitives, and
-their plans).  Runs are subprocesses, so other in-process work cannot
+their plans); the ``--concurrency`` digest when its payload became the
+shared list of ``Report.to_json`` objects (the engine an entry named
+``runtime``, every verdict unchanged), and ``--list`` with it (``runtime``
+now sorts among the entry names).  Runs are subprocesses, so other in-process work cannot
 shift the counters either.
 
 Plus the CLI contracts the shared table guarantees: one mode flag per
-run, every listed name resolvable, ``--ownership all``, and ``-q``.
+run, every listed name resolvable, ``--ownership all``, ``-q``, and one
+judgment for ``--X all`` and ``--self-check``.
 """
 
 import hashlib
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.__main__ import SUBSYSTEMS, main
 from repro.analysis.corpus import StepProgram, UnknownProgram
+from repro.analysis.selfcheck import self_check
+from repro.errors import SourceLocation
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 PINNED = {
     "--trace": "2ef051648490938e15dc05787795eac26ef1731e8e2680a11d12ac65722cc300",
     "--derivatives": "fab8dc11c23b6140a9a61989daa0340adc1d19fefec0ec8976fb260e6f1e6029",
-    "--concurrency": "ff0bfac39da908bd9941088242526cef4a1520b91cebe567cb3b4aba89233bf8",
+    "--concurrency": "5456a9e2274f9f7c3db0a6a9981e3e8a96fb0761e2b4529c6ef9f516e3ff0e3d",
     "--memory": "c44d62b3732b9b6fcfa08367654fd0f472a0db43c59f582571f0f99190de1e69",
     "--precision": "dc703e7b70bb5bb7b08f0baadb9ec4ee85509458ac308c9162b7e72924740f92",
     "--codegen": "b6f61da165927c06f06d3d60b57023738dd9ea8536f6817b1f92f0f71b6b98c6",
-    "--list": "ec44a0c700fd5ea4b8eb7bc8f9562a422f924da18b9fd2c6c80b9eb45b9b17da",
+    "--list": "ba00caefca07e8a9d2f87780d3c08c5dfbae152aa3e28b03e3a85468e96183dd",
     "--self-check": "449263c815fd15c6a516ed2545a3f7e6b22de391b91bab9cbdde5f987265875c",
 }
 
@@ -105,14 +113,9 @@ def test_self_check_counts_equal_the_benchmark_expectations():
     "row", [s for s in SUBSYSTEMS if s.flag in PINNED], ids=lambda s: s.flag
 )
 def test_corpus_counter_and_json_lengths_agree(row):
-    payload = _payload(row.flag)
-    if row.flag == "--concurrency":
-        reports, checked = payload["corpus"], "concurrency_models_checked"
-    else:
-        reports, checked = payload, row.checked
-    assert len(reports) == len(row.corpus)
-    if checked is not None:  # the codegen sweep has no *_checked counter
-        assert _payload("--self-check")[checked] == len(row.corpus)
+    assert len(_payload(row.flag)) == len(row.corpus)
+    if row.checked is not None:  # codegen and concurrency count otherwise
+        assert _payload("--self-check")[row.checked] == len(row.corpus)
 
 
 @pytest.mark.parametrize(
@@ -156,10 +159,14 @@ def test_cli_ownership_all_judges_against_expected_verdicts(capsys):
     names = [fn.__name__ for fn in models.CLEAN_SUITE]
     names += [fn.__name__ for fn, _verdict in models.VIOLATION_SUITE]
     assert [r["function"] for r in reports] == names
-    assert all(r["ok"] and not r["problems"] for r in reports)
+    assert all(r["ok"] and r["verdict_matches"] for r in reports)
     # A seeded violation draws diagnostics yet passes: it was expected.
     caught = next(r for r in reports if r["function"] == "double_borrow_same_item")
-    assert caught["expect"] == "error" and caught["diagnostics"]
+    assert caught["expect"] == "error" and caught["verdicts"] == ["error"]
+    assert caught["diagnostics"]
+    may = next(r for r in reports if r["function"] == "aliased_writes_may_conflict")
+    assert may["verdicts"] == ["warning"]
+    assert [d["severity"] for d in may["diagnostics"]] == ["warning"]
 
     assert main(["--ownership", "all", "-q"]) == 0
     assert capsys.readouterr().out == (
@@ -171,7 +178,54 @@ def test_cli_ownership_all_judges_against_expected_verdicts(capsys):
 def test_cli_concurrency_single_model_honours_quiet(capsys):
     assert main(["--concurrency", "race_unlocked_counter", "-q"]) == 0
     quiet = capsys.readouterr().out
-    assert quiet.startswith("concurrency analysis: 0 failure(s)")
+    assert quiet.startswith("1 target(s) analyzed, 0 failure(s)")
     assert main(["--concurrency", "race_unlocked_counter"]) == 0
     loud = capsys.readouterr().out
     assert "race_unlocked_counter" in loud and loud.endswith(quiet)
+
+
+def _unlocated(report):
+    """``report`` with every diagnostic's source location dropped."""
+    def strip(diagnostics):
+        return [replace(d, location=SourceLocation()) for d in diagnostics]
+
+    if hasattr(report, "borrow"):
+        report.borrow.diagnostics = strip(report.borrow.diagnostics)
+    else:
+        for part in (report.lockset, report.lockorder, report.determinism):
+            part.diagnostics = strip(part.diagnostics)
+    return report
+
+
+@pytest.mark.parametrize(
+    "flag, module, name",
+    [
+        ("--concurrency", "repro.analysis.concurrency.report", "race_dirty_read"),
+        (
+            "--ownership",
+            "repro.analysis.ownership.models",
+            "aliased_writes_may_conflict",
+        ),
+    ],
+)
+def test_hazard_caught_without_a_location_fails_sweep_and_self_check(
+    flag, module, name, monkeypatch, capsys
+):
+    """``--X all`` and ``--self-check`` share one judgment: a hazard whose
+    diagnostics point nowhere fails both."""
+    hooks = importlib.import_module(module)
+    analyze = hooks.analyze
+
+    def unlocated(program, **options):
+        report = analyze(program, **options)
+        return _unlocated(report) if program.name == name else report
+
+    monkeypatch.setattr(hooks, "analyze", unlocated)
+    assert main([flag, "all", "-q"]) == 1
+    assert "no diagnostic carries a source location" in capsys.readouterr().out
+    failures = self_check().failures
+    assert failures == [
+        f"{next(r for r in SUBSYSTEMS if r.flag == flag).corpus.kind} {name!r}: "
+        "hazard caught but no diagnostic carries a source location "
+        f"(see `{flag} {name}`)"
+    ]

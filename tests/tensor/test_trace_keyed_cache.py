@@ -74,6 +74,23 @@ def test_warm_steps_neither_lower_nor_fingerprint(mode, monkeypatch):
         compiler.shutdown()
 
 
+@pytest.mark.parametrize("mode", ["sync", "async"])
+def test_a_miss_walks_its_fragment_once(mode, monkeypatch):
+    """The key, the lowering and the op-by-op fallback share one walk."""
+    compiler = AsyncCompiler() if mode == "async" else None
+    device = lazy_device(async_compile=compiler or False)
+    values = np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3)
+    expected = (Tensor(values, eager_device()) * 2.0).tanh().numpy()
+    walked = _counting(monkeypatch, lazy_backend, "fragment_order")
+    lowered = _counting(monkeypatch, lazy_backend, "_lower_to_hlo")
+    result = (Tensor(values, device) * 2.0).tanh().numpy()
+    np.testing.assert_array_equal(result, expected)
+    assert walked == ["fragment_order"] and lowered == ["_lower_to_hlo"]
+    if compiler is not None:
+        assert device.runtime.async_fallback_steps == 1
+        compiler.shutdown()
+
+
 def test_negative_zero_constant_compiles_its_own_executable():
     device = lazy_device()
     values = np.array([1.0, 2.0], np.float32)
@@ -128,9 +145,9 @@ def test_runtime_key_is_the_canonical_key_for_every_corpus_fragment(monkeypatch)
     used = []
     execute_fragment = lazy_backend.LazyRuntime._execute_fragment
 
-    def recording(runtime, targets, key, args):
+    def recording(runtime, targets, order, key, args):
         used.append(key)
-        return execute_fragment(runtime, targets, key, args)
+        return execute_fragment(runtime, targets, order, key, args)
 
     monkeypatch.setattr(lazy_backend.LazyRuntime, "_execute_fragment", recording)
     programs = _step_programs()
