@@ -11,12 +11,25 @@
 """
 
 import math
+import time
 
 from conftest import save_result
 
 from repro.core import value_and_gradient
 from repro.core.api import DifferentiableFunction
 from repro.valsem import ValueArray, copy_counting
+
+
+def mean_seconds(benchmark, fn, calls: int) -> float:
+    """Mean seconds per ``fn()``: pytest-benchmark's mean, or ``calls``
+    calls timed here under ``--benchmark-disable`` (``benchmark.stats`` is
+    then None)."""
+    if benchmark.stats is not None:
+        return benchmark.stats.stats.mean
+    start = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return (time.perf_counter() - start) / calls
 
 
 def heavy(x):
@@ -28,8 +41,6 @@ def heavy(x):
 
 def test_gradient_overhead_constant_factor(benchmark):
     """value_and_gradient vs plain forward execution (real wall clock)."""
-    import time
-
     value_and_gradient(heavy, 0.7)  # warm the AOT caches
 
     start = time.perf_counter()
@@ -41,7 +52,7 @@ def test_gradient_overhead_constant_factor(benchmark):
         return value_and_gradient(heavy, 0.7)
 
     result = benchmark(grad_call)
-    grad_time = benchmark.stats.stats.mean
+    grad_time = mean_seconds(benchmark, grad_call, 50)
     factor = grad_time / forward
     save_result(
         "ablation_ad_overhead",
@@ -58,7 +69,6 @@ def test_gradient_overhead_constant_factor(benchmark):
 def test_aot_saves_retransformation(benchmark):
     """Per-call re-transformation (what tracing AD effectively does) vs the
     AOT design's cached plans."""
-    import time
     import types
 
     def fresh_function():
@@ -87,7 +97,7 @@ def test_aot_saves_retransformation(benchmark):
     aot = (time.perf_counter() - start) / 20
 
     benchmark.pedantic(transform_every_call, rounds=3, iterations=2)
-    per_call = benchmark.stats.stats.mean
+    per_call = mean_seconds(benchmark, transform_every_call, 6)
 
     save_result(
         "ablation_aot",
@@ -108,9 +118,7 @@ def test_cow_copy_is_o1(benchmark):
         return big.copy()
 
     benchmark(value_copy)
-    copy_time = benchmark.stats.stats.mean
-
-    import time
+    copy_time = mean_seconds(benchmark, value_copy, 1000)
 
     with copy_counting() as stats:
         copies = [big.copy() for _ in range(100)]

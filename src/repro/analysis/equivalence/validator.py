@@ -109,10 +109,13 @@ def _instruction_term(inst: HloInstruction, args: list[int], table: TermTable) -
 
 
 def module_terms(
-    module: HloModule, table: TermTable
+    module: HloModule,
+    table: TermTable,
+    schedule: Optional[list[HloInstruction]] = None,
 ) -> tuple[int, list[ExpectedValue]]:
     """The module's root term plus the expected value sequence, in the
-    exact order the generator emits assignments (fusions inlined)."""
+    exact order the generator emits assignments (fusions inlined).
+    ``schedule`` is ``module.schedule()`` when the caller already walked it."""
     env: dict[int, int] = {}
     expected: list[ExpectedValue] = []
     root = module.entry.root
@@ -142,7 +145,7 @@ def module_terms(
             expected.append(ExpectedValue(f"%{fusion.name}", inner_env[inner_root.id]))
         return inner_env[inner_root.id]
 
-    for inst in module.schedule():
+    for inst in module.schedule() if schedule is None else schedule:
         op = inst.opcode
         if op == "parameter":
             env[inst.id] = table.param(inst.parameter_number)
@@ -460,10 +463,12 @@ def validate_translation(
     source: str,
     consts: tuple,
     filename: str = "<codegen>",
+    schedule: Optional[list[HloInstruction]] = None,
 ) -> ValidationResult:
-    """Certify ``source`` (with constant pool ``consts``) against ``module``."""
+    """Certify ``source`` (with constant pool ``consts``) against ``module``
+    (whose ``schedule()`` the caller may pass if it already walked it)."""
     table = TermTable()
-    root_term, expected = module_terms(module, table)
+    root_term, expected = module_terms(module, table, schedule)
     execd = function_terms(
         source, consts, len(module.entry.parameters), table, filename
     )

@@ -36,6 +36,7 @@ schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.hlo.ir import (
     BF16,
@@ -159,10 +160,11 @@ class LivenessInfo:
 @dataclass
 class _Builder:
     module: HloModule
+    schedule: list[HloInstruction]
     values: dict[int, ValueInfo] = field(default_factory=dict)
 
     def build(self) -> LivenessInfo:
-        schedule = self.module.schedule()
+        schedule = self.schedule
         values = self.values
         resident_bytes = 0
         intervals: dict[int, tuple[int, int]] = {}
@@ -247,6 +249,11 @@ class _Builder:
         )
 
 
-def analyze_liveness(module: HloModule) -> LivenessInfo:
-    """Compute categories and storage intervals for ``module``'s schedule."""
-    return _Builder(module).build()
+def analyze_liveness(
+    module: HloModule, schedule: Optional[list[HloInstruction]] = None
+) -> LivenessInfo:
+    """Compute categories and storage intervals for ``module``'s schedule
+    (``module.schedule()``, which the caller may pass if it already walked it)."""
+    if schedule is None:
+        schedule = module.schedule()
+    return _Builder(module, schedule).build()

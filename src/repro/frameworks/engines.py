@@ -131,7 +131,7 @@ class LazyTraceEngine(_EngineBase):
         if not self.compiled:
             self.host_time += (
                 self.engine.compile_cost_base
-                + self.engine.compile_cost_per_op * len(self.executable.order)
+                + self.engine.compile_cost_per_op * self.executable.instruction_count
             )
             self.compiled = True
         device_done = self._advance_device(self.executable, self.host_time)
@@ -155,7 +155,7 @@ class FusedJitEngine(_EngineBase):
         if not self.compiled:
             self.host_time += (
                 self.engine.compile_cost_base
-                + self.engine.compile_cost_per_op * len(self.executable.order)
+                + self.engine.compile_cost_per_op * self.executable.instruction_count
             )
             self.compiled = True
         self.host_time += self.engine.per_step_overhead

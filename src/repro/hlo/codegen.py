@@ -49,7 +49,6 @@ from repro.hlo.ir import (
 )
 from repro.hlo.ops import HLO_OPS
 from repro.locks import named_rlock
-from repro.runtime import memory
 from repro.runtime.kernels import ITEMSIZE, KERNELS
 #: Element dtypes whose results the interpreted backend coerces after
 #: every instruction (``evaluate_instruction``); codegen must match.
@@ -97,8 +96,6 @@ class GeneratedStep:
     #: Device-cost replay: (bump_busy_until, n_ops, flops, traffic) per
     #: launch, in schedule order — identical accounting to the interpreter.
     launches: tuple
-    #: (value label, source line number) per emitted assignment, in order.
-    emitted: tuple
     filename: str
 
     @property
@@ -169,36 +166,40 @@ def _coerced_expr(inst: HloInstruction, a: list[str]) -> str:
     return raw
 
 
-def emit_module(module: HloModule, key: Optional[str] = None) -> GeneratedStep:
+def emit_module(
+    module: HloModule,
+    key: Optional[str] = None,
+    schedule: Optional[list[HloInstruction]] = None,
+) -> GeneratedStep:
     """Emit the flat step function for ``module`` (already optimized).
 
     ``key`` is a short display key used only for the synthetic filename
     and the buffer plan's metadata; it never affects the emitted source.
+    ``schedule`` is ``module.schedule()`` when the caller already walked
+    it (the planner's liveness reads the same list).
     """
     # The planner lives in the analysis layer but depends only on the HLO
     # IR; import lazily to keep the layering acyclic.
     from repro.analysis.memory.bufferplan import plan_buffers
     from repro.analysis.memory.liveness import analyze_liveness
 
-    schedule = module.schedule()
-    plan = plan_buffers(analyze_liveness(module), key)
+    if schedule is None:
+        schedule = module.schedule()
+    plan = plan_buffers(analyze_liveness(module, schedule), key)
     root = module.entry.root
     n_params = len(module.entry.parameters)
 
     consts: list = []
     names: dict[int, str] = {}
     lines: list[str] = []
-    emitted: list[tuple[str, int]] = []
     launches: list[tuple[bool, int, float, float]] = []
 
     def hoist(inst: HloInstruction) -> str:
         consts.append(_hoisted_constant(inst))
         return f"C[{len(consts) - 1}]"
 
-    def emit_line(target: str, expr: str, label: str) -> None:
+    def emit_line(target: str, expr: str) -> None:
         lines.append(f"{target} = {expr}")
-        # Line 1 is the def header, so body line i is source line i + 1.
-        emitted.append((label, len(lines) + 1))
 
     def target_name(inst: HloInstruction, pos: int) -> str:
         assignment = plan.assignments.get(inst.id)
@@ -221,11 +222,8 @@ def emit_module(module: HloModule, key: Optional[str] = None) -> GeneratedStep:
                 inner_names[inst.id] = hoist(inst)
                 continue
             expr = _coerced_expr(inst, [inner_names[o.id] for o in inst.operands])
-            if inst is inner_root:
-                tname, label = target, f"%{fusion.name}"
-            else:
-                tname, label = f"t{pos}_{j}", f"%{fusion.name}.{inst.name}"
-            emit_line(tname, expr, label)
+            tname = target if inst is inner_root else f"t{pos}_{j}"
+            emit_line(tname, expr)
             inner_names[inst.id] = tname
             n_ops += 1
             flops, _ = _instruction_cost(
@@ -233,7 +231,7 @@ def emit_module(module: HloModule, key: Optional[str] = None) -> GeneratedStep:
             )
             flops_total += flops
         if inner_root.opcode in ("parameter", "constant"):
-            emit_line(target, inner_names[inner_root.id], f"%{fusion.name}")
+            emit_line(target, inner_names[inner_root.id])
         # One launch; traffic counts only the region's inputs + output.
         traffic = (
             fusion.shape.num_elements
@@ -256,7 +254,7 @@ def emit_module(module: HloModule, key: Optional[str] = None) -> GeneratedStep:
             operands = [names[o.id] for o in inst.operands]
             tail = "," if len(operands) == 1 else ""
             target = target_name(inst, pos)
-            emit_line(target, "(" + ", ".join(operands) + tail + ")", f"%{inst.name}")
+            emit_line(target, "(" + ", ".join(operands) + tail + ")")
             names[inst.id] = target
             continue
         a = [names[o.id] for o in inst.operands]
@@ -264,7 +262,7 @@ def emit_module(module: HloModule, key: Optional[str] = None) -> GeneratedStep:
             names[inst.id] = emit_fusion(inst, a, pos)
             continue
         target = target_name(inst, pos)
-        emit_line(target, _coerced_expr(inst, a), f"%{inst.name}")
+        emit_line(target, _coerced_expr(inst, a))
         names[inst.id] = target
         flops, traffic = _instruction_cost(
             inst, [o.shape.dims for o in inst.operands]
@@ -287,13 +285,18 @@ def emit_module(module: HloModule, key: Optional[str] = None) -> GeneratedStep:
         consts=tuple(consts),
         n_parameters=n_params,
         launches=tuple(launches),
-        emitted=tuple(emitted),
         filename=f"<codegen:{key}>" if key else "<codegen>",
     )
 
 
-def compile_step(generated: GeneratedStep, code: Optional[CodeType] = None) -> Callable:
+def compile_step(
+    generated: GeneratedStep | CertifiedStep, code: Optional[CodeType] = None
+) -> Callable:
     """``exec`` the step's code once, returning the function.
+
+    ``generated`` is a :class:`GeneratedStep` or a cached
+    :class:`CertifiedStep`; only its constant pool is read when ``code``
+    is given.
 
     ``code`` is what the validator compiled from the syntax tree it proved
     (``ValidationResult.code``), so the function that runs is the one that
@@ -317,30 +320,41 @@ def compile_step(generated: GeneratedStep, code: Optional[CodeType] = None) -> C
     return namespace["step"]
 
 
+@dataclass(frozen=True)
+class CertifiedStep:
+    """What the source cache keeps for a certified key: exactly what an
+    install needs, and no HLO object (the module and the source text are
+    garbage once the proof is done)."""
+
+    #: The code object the validator compiled from the tree it proved.
+    code: CodeType
+    consts: tuple
+    launches: tuple
+    line_count: int
+
+
 class CodegenExecutable:
     """A certified generated step function with the ``Executable`` interface.
 
+    It keeps only what :meth:`run` and the compile charge read: the step
+    function (whose namespace holds the constant pool), the launch tuple,
+    and three integers.  No HLO module, interpreted executable or emission
+    record stays alive with a cached entry.  A memory-tracked run never
+    reaches it: inside a ``trace_attribution`` scope the lazy runtime
+    compiles the interpreted keyspace, whose executor surfaces
+    per-instruction buffers.
+
     Immutable after construction: the compiled function is pure (locals
-    only), the cost replay is a static tuple, and the wrapped interpreted
-    executable handles the memory-tracked path — so instances are shared
+    only) and the cost replay is a static tuple — so instances are shared
     read-only across replica threads exactly like ``Executable``.
     """
 
-    def __init__(
-        self,
-        module: HloModule,
-        interpreted: Executable,
-        generated: GeneratedStep,
-        fn: Callable,
-    ) -> None:
-        self.module = module
-        self.interpreted = interpreted
-        self.generated = generated
-        self.order = interpreted.order
+    def __init__(self, fn: Callable, launches: tuple, interpreted: Executable) -> None:
         self.n_parameters = interpreted.n_parameters
         self.kernel_count = interpreted.kernel_count
+        self.instruction_count = interpreted.instruction_count
         self._fn = fn
-        self._launches = generated.launches
+        self._launches = launches
 
     def run(
         self,
@@ -352,11 +366,6 @@ class CodegenExecutable:
             raise HloError(
                 f"executable expects {self.n_parameters} args, got {len(args)}"
             )
-        if memory.intermediates_tracked():
-            # The memory oracle observes per-instruction buffers; only the
-            # interpreted executor surfaces them.  Same values either way —
-            # that is exactly what the certificate proves.
-            return self.interpreted.run(args, device, host_time)
         result = self._fn(*[np.asarray(a) for a in args])
         if device is not None:
             for bump, n_ops, flops, traffic in self._launches:
@@ -392,9 +401,11 @@ STATS = CodegenStats()
 #: A leaf lock — never held while taking any other repro lock.
 _LOCK = named_rlock("hlo.codegen.cache")
 
-#: Emitted source + validation verdict per compiler cache key: emission
-#: and validation are deterministic, so one proof serves every recompile.
-_SOURCE_CACHE: dict[str, tuple] = {}
+#: Per compiler cache key, the outcome of its one proof: a
+#: :class:`CertifiedStep` or the rejecting ``ValidationResult`` (verdict and
+#: diagnostics).  Emission and validation are deterministic, so one proof
+#: serves every recompile.
+_SOURCE_CACHE: dict[str, object] = {}
 
 
 def clear_source_cache() -> None:
@@ -418,6 +429,8 @@ def generate_certified(
 ):
     """Emit + validate ``module``; return certified codegen or the fallback.
 
+    ``interpreted`` is the module's interpreted executable: its ``order``
+    is the schedule the emitter, the planner and the validator all read.
     Only a *certified* translation is wrapped in :class:`CodegenExecutable`;
     a rejected one returns ``interpreted`` unchanged (the caller's cache
     then serves the interpreted executable for this key, the same fallback
@@ -433,23 +446,30 @@ def generate_certified(
         if cached is not None:
             STATS.source_cache_hits += 1
     if cached is None:
-        generated = emit_module(module, _short_key(cache_key))
+        # An executable built from an equal module elsewhere walked other
+        # instructions; only this module's own order is its schedule.
+        schedule = interpreted.order if interpreted.module is module else None
+        generated = emit_module(module, _short_key(cache_key), schedule)
         result = validate_translation(
-            module, generated.source, generated.consts, filename=generated.filename
+            module, generated.source, generated.consts, generated.filename, schedule
         )
+        outcome = result
+        if result.certified:
+            outcome = CertifiedStep(
+                result.code, generated.consts, generated.launches, generated.line_count
+            )
         with _LOCK:
             cached = _SOURCE_CACHE.get(cache_key)
             if cached is None:
-                _SOURCE_CACHE[cache_key] = cached = (generated, result)
+                _SOURCE_CACHE[cache_key] = cached = outcome
                 STATS.emitted += 1
                 if result.certified:
                     STATS.certified += 1
                 else:
                     STATS.rejected += 1
-    generated, result = cached
-    if not result.certified:
+    if not isinstance(cached, CertifiedStep):
         return interpreted
-    fn = compile_step(generated, result.code)
+    fn = compile_step(cached, cached.code)
     with _LOCK:
         STATS.installs += 1
-    return CodegenExecutable(module, interpreted, generated, fn)
+    return CodegenExecutable(fn, cached.launches, interpreted)

@@ -226,6 +226,9 @@ class Executable:
     def __init__(self, module: HloModule) -> None:
         self.module = module
         self.order = module.entry.post_order()
+        count = len(self.order)
+        #: Instructions in the schedule: what the simulated JIT charges for.
+        self.instruction_count = count
         self.n_parameters = len(module.entry.parameters)
         #: Number of device kernels one run launches (fusion collapses many
         #: instructions into one kernel).
@@ -237,7 +240,7 @@ class Executable:
         #: Operand-slot use counts: run() frees each value at its last use,
         #: which is what makes the static liveness intervals of the memory
         #: planner (repro.analysis.memory) exact on straight-line traces.
-        self._use_counts = module.entry.use_counts()
+        self._use_counts = module.entry.use_counts(self.order)
         self._root_id = module.entry.root.id
 
     def run(
@@ -373,7 +376,7 @@ def _codegen(
     executable = Executable(module)
     with _LOCK:
         STATS.compiles += 1
-        STATS.instructions_compiled += len(executable.order)
+        STATS.instructions_compiled += executable.instruction_count
     if codegen:
         from repro.hlo.codegen import generate_certified
 

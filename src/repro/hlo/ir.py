@@ -263,12 +263,15 @@ class HloComputation:
                 order.append(insts.pop())
         return order
 
-    def use_counts(self) -> dict[int, int]:
+    def use_counts(
+        self, order: Optional[list[HloInstruction]] = None
+    ) -> dict[int, int]:
         """Operand-slot use counts over the schedule (an operand appearing
         twice in one instruction counts twice — the executor decrements
-        once per slot when freeing at last use)."""
+        once per slot when freeing at last use).  ``order`` is this
+        computation's :meth:`post_order` when the caller already walked it."""
         counts: dict[int, int] = {}
-        for inst in self.post_order():
+        for inst in self.post_order() if order is None else order:
             for op in inst.operands:
                 counts[op.id] = counts.get(op.id, 0) + 1
         return counts

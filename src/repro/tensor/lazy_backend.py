@@ -31,6 +31,7 @@ from repro.hlo.builder import HloBuilder
 from repro.hlo.compiler import STATS as COMPILER_STATS
 from repro.hlo.compiler import AsyncCompiler, compile_keyed
 from repro.hlo.ir import Shape
+from repro.runtime import memory
 from repro.runtime.costmodel import EngineProfile
 from repro.runtime.device import SimDevice
 from repro.runtime.kernels import ITEMSIZE
@@ -257,8 +258,6 @@ class LazyRuntime:
     def _execute(self, targets: list[TraceNode], reason: str = "observe") -> None:
         for observer in self.fragment_observers:
             observer(targets, reason)
-        from repro.runtime import memory
-
         # The canonical key is computed once, on the intact DAG (execution
         # consumes it), and addresses the compile cache.  Inside a
         # trace_attribution scope the run's transient peak is also recorded
@@ -280,14 +279,14 @@ class LazyRuntime:
             return
         compiles_before = COMPILER_STATS.compiles
         executable = compile_keyed(
-            key, lambda: _lower_to_hlo(targets, order)[0], codegen=self.codegen
+            key, lambda: _lower_to_hlo(targets, order)[0], codegen=self._codegen()
         )
         if COMPILER_STATS.compiles > compiles_before:
             # A genuinely new trace: pay JIT compilation.
             self.compiles_triggered += 1
             self.host_time += (
                 self.engine.compile_cost_base
-                + self.engine.compile_cost_per_op * len(executable.order)
+                + self.engine.compile_cost_per_op * executable.instruction_count
             )
         self.sim.busy_until = max(self.sim.busy_until, self.host_time)
         results = executable.run(args, device=self.sim, host_time=self.host_time)
@@ -305,7 +304,8 @@ class LazyRuntime:
         """
         # Separate keyspace: a shared AsyncCompiler must never hand an
         # interpreted replica a generated step function or vice versa.
-        async_key = "codegen:" + key if self.codegen else key
+        codegen = self._codegen()
+        async_key = "codegen:" + key if codegen else key
         executable = self.async_compiler.lookup(async_key)
         if executable is not None:
             self.async_compile_hits += 1
@@ -320,20 +320,28 @@ class LazyRuntime:
         module, _ = _lower_to_hlo(targets, order)
         self.async_compiler.submit(
             async_key,
-            lambda: compile_keyed(key, lambda: module, codegen=self.codegen),
+            lambda: compile_keyed(key, lambda: module, codegen=codegen),
         )
         self.async_compiler.note_fallback()
         self.async_fallback_steps += 1
         results = self._eval_fragment_eager(targets, order)
         self._consume(targets, results)
 
+    def _codegen(self) -> bool:
+        """Whether this fragment compiles to a certified step function.
+
+        Only the interpreted executor surfaces per-instruction buffers, so
+        inside a ``trace_attribution`` scope a codegen runtime compiles and
+        runs the interpreted keyspace; the certificate proves the values
+        identical either way.
+        """
+        return self.codegen and not memory.intermediates_tracked()
+
     def _consume(self, targets: list[TraceNode], results) -> None:
         """Store materialized values and release the executed fragment."""
         self.materializations += 1
         if len(targets) == 1:
             results = (results,)
-        from repro.runtime import memory
-
         for node, value in zip(targets, results):
             node.data = np.asarray(value, dtype=np.float32)
             # Views (e.g. a broadcast or transposed root) allocate nothing:

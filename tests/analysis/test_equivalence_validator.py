@@ -180,7 +180,7 @@ def test_generate_certified_falls_back_on_a_bad_literal(monkeypatch):
     monkeypatch.setattr(
         codegen,
         "emit_module",
-        lambda m, key=None: dataclasses.replace(
+        lambda m, key=None, schedule=None: dataclasses.replace(
             emitted, source="def step(p0, p1):\n    v0 = cast(p0, p0)\n    return v0\n"
         ),
     )
